@@ -50,8 +50,10 @@ def _ids(text: str) -> frozenset:
     out = set()
     for part in text.split(","):
         if "-" in part[1:]:
-            lo, hi = part.split("-", 1)
-            out.update(range(int(lo), int(hi) + 1))
+            lo, hi = (int(p) for p in part.split("-", 1))
+            if lo > hi:
+                raise argparse.ArgumentTypeError(f"inverted id range {part!r}")
+            out.update(range(lo, hi + 1))
         else:
             out.add(int(part))
     return frozenset(out)
@@ -119,6 +121,12 @@ def _run_dirs(run: Path):
     return dirs
 
 
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def _write_manifest(outdir: Path, command: str, args, digests: dict) -> None:
     cfg = {}
     for k, v in sorted(vars(args).items()):
@@ -133,20 +141,16 @@ def _write_manifest(outdir: Path, command: str, args, digests: dict) -> None:
         cfg[k] = v
     manifest = {"command": command, "version": __version__, "config": cfg,
                 "checkpoints": dict(sorted(digests.items()))}
-    path = Path(outdir) / f"manifest_{command.replace('-', '_')}.json"
-    with open(path, "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(Path(outdir) / f"manifest_{command.replace('-', '_')}.json", manifest)
 
 
 def _load_init_nets(ckpt_dir: Path, views) -> dict:
     nets = {}
     for view in views:
         path = Path(ckpt_dir) / f"init_{view}.pbrw"
-        if path.exists():
-            nets[view] = UNet.load(path.read_bytes())
-    if not nets:
-        raise DataError(f"no init_<view>.pbrw checkpoints under {ckpt_dir}")
+        if not path.exists():
+            raise DataError(f"missing checkpoint {path}")
+        nets[view] = UNet.load(path.read_bytes())
     return nets
 
 
@@ -277,12 +281,8 @@ def cmd_eval(args) -> int:
         vols, slices, mm3 = _eval_set(pairs, pred_dir, prefix)
         write_volume_csv(vols, dirs["reports"] / f"volumes{tag}.csv")
         write_slice_csv(slices, dirs["reports"] / f"slices{tag}.csv")
-        with open(dirs["reports"] / f"summary{tag}.json", "w") as f:
-            json.dump(summarize(vols), f, indent=2, sort_keys=True)
-            f.write("\n")
-        with open(dirs["reports"] / f"volumes_mm3{tag}.json", "w") as f:
-            json.dump(mm3, f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(dirs["reports"] / f"summary{tag}.json", summarize(vols))
+        _write_json(dirs["reports"] / f"volumes_mm3{tag}.json", mm3)
     _write_manifest(args.run, "eval", args, {})
     return 0
 
@@ -312,9 +312,7 @@ def cmd_report(args) -> int:
     hist = dsc_histogram(fg_slices)
     hist_out = {"edges": [list(e) for e in hist["edges"]], "counts": hist["counts"],
                 "percent": hist["percent"], "total": hist["total"]}
-    with open(reports / "histogram.json", "w") as f:
-        json.dump(hist_out, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(reports / "histogram.json", hist_out)
 
     curve = reliability_curve([float(r["dsc"]) for r in vol_rows])
     with open(reports / "reliability.csv", "w", newline="") as f:
@@ -326,16 +324,12 @@ def cmd_report(args) -> int:
     with open(reports / "volumes_mm3.json") as f:
         mm3 = json.load(f)
     agreement = volume_agreement(mm3["pred"], mm3["gt"])
-    with open(reports / "agreement.json", "w") as f:
-        json.dump(vars(agreement), f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(reports / "agreement.json", vars(agreement))
 
     small = small_target_report(slice_reports, args.area_threshold, args.head_tail_n)
     small["head_tail"]["slices"] = [list(s) for s in small["head_tail"]["slices"]]
     small["small"]["slices"] = [list(s) for s in small["small"]["slices"]]
-    with open(reports / "small_targets.json", "w") as f:
-        json.dump(small, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(reports / "small_targets.json", small)
     _write_manifest(args.run, "report", args, {})
     return 0
 
@@ -422,6 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
+
+
 def _apply_config_file(parser, argv):
     """Config precedence: command line > config file > built-in defaults."""
     probe = argparse.ArgumentParser(add_help=False)
@@ -452,7 +450,9 @@ def _apply_config_file(parser, argv):
             raise ConfigError(f"unknown config key {key!r}")
         a = actions[key]
         if isinstance(a, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            converted[key] = val.lower() in ("1", "true", "yes", "on")
+            if val.lower() not in _BOOLS:
+                raise ConfigError(f"bad config value for {key}: {val!r} is not a boolean")
+            converted[key] = _BOOLS[val.lower()]
         elif a.type is not None:
             try:
                 converted[key] = a.type(val)

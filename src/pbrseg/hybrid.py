@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .pvol import MaskVolume, ProbVolume, Volume
+from .unet import forward_padded
 from .views import estimate_initial
 
 
@@ -92,7 +93,7 @@ def update_map(old: np.ndarray, new: np.ndarray) -> np.ndarray:
 
 def _predict(net, sample: np.ndarray) -> np.ndarray:
     if hasattr(net, "forward"):
-        return net.forward(sample[None])[0, 0]
+        return forward_padded(net, sample[None])[0, 0]
     return np.asarray(net(sample), dtype=np.float32)
 
 

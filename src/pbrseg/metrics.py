@@ -95,15 +95,16 @@ def precision(pred: MaskVolume, gt: MaskVolume) -> float:
     return inter / npred
 
 
-def hausdorff(a: MaskVolume, b: MaskVolume, spacing=None, mode: str = "symmetric") -> float:
+def hausdorff(a: MaskVolume, b: MaskVolume, spacing=None, mode: str = "symmetric"):
     """Max-min Euclidean distance between foreground voxel centers, in mm.
 
     directed mode measures a -> b only; symmetric takes the max of both
-    directions. Undefined when either mask is empty.
+    directions; both returns the (directed, symmetric) pair from the same
+    two nearest-neighbour passes. Undefined when either mask is empty.
     """
     _check_dims(a, b)
-    if mode not in ("directed", "symmetric"):
-        raise ConfigError(f"mode must be 'directed' or 'symmetric', got {mode!r}")
+    if mode not in ("directed", "symmetric", "both"):
+        raise ConfigError(f"mode must be 'directed', 'symmetric' or 'both', got {mode!r}")
     if spacing is None:
         spacing = a.spacing
     scale = np.asarray(spacing, dtype=np.float64)
@@ -115,6 +116,8 @@ def hausdorff(a: MaskVolume, b: MaskVolume, spacing=None, mode: str = "symmetric
     if mode == "directed":
         return d_ab
     d_ba = float(cKDTree(pa).query(pb)[0].max())
+    if mode == "both":
+        return d_ab, max(d_ab, d_ba)
     return max(d_ab, d_ba)
 
 
@@ -135,8 +138,7 @@ def evaluate_volume(pred: MaskVolume, gt: MaskVolume, volume_id: str = "",
     """All volume-level metrics for one prediction."""
     _check_dims(pred, gt)
     try:
-        hd_d = hausdorff(pred, gt, mode="directed")
-        hd_s = hausdorff(pred, gt, mode="symmetric")
+        hd_d, hd_s = hausdorff(pred, gt, mode="both")
     except UndefinedMetricError:
         hd_d = hd_s = None
     return VolumeReport(

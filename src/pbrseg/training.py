@@ -13,8 +13,8 @@ from .hybrid import build_hybrid
 from .optim import init_optimizer, optimizer_step
 from .preprocess import augment
 from .pvol import ProbVolume
-from .unet import UNet, UNetConfig, build_unet
-from .views import VIEWS, _sym_pad, estimate_initial, orient
+from .unet import UNet, UNetConfig, build_unet, pad_to_divisor
+from .views import VIEWS, estimate_initial, orient
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,9 @@ def _hard_dice(prob2d: np.ndarray, mask2d: np.ndarray, threshold: float = 0.5) -
 def fit(net: UNet, samples, targets, schedule: TrainSchedule, seed: int) -> list:
     """Train in place with batch size 1; returns the per-epoch log.
 
+    Samples and targets of any in-plane size are zero-padded once, up
+    front, with ``pad_to_divisor``; the Dice loss includes that zero frame.
+
     A held-out fraction of samples is scored with hard Dice after each
     epoch; the learning rate halves when the monitored quantity (val Dice,
     or negative train loss when the split is empty) stops improving for
@@ -99,6 +102,8 @@ def fit(net: UNet, samples, targets, schedule: TrainSchedule, seed: int) -> list
         raise DataError("empty training set")
     if len(targets) != n:
         raise ConfigError(f"{n} samples but {len(targets)} targets")
+    samples = [pad_to_divisor(x) for x in samples]
+    targets = [pad_to_divisor(t) for t in targets]
     n_val = int(round(schedule.val_fraction * n))
     n_val = min(n_val, n - 1)
     perm = np.random.default_rng(np.random.SeedSequence([seed, 0])).permutation(n)
@@ -151,15 +156,11 @@ def fit(net: UNet, samples, targets, schedule: TrainSchedule, seed: int) -> list
 
 
 def _view_samples(dataset, view: str):
-    """Oriented, zero-padded (1,H,W) slices with matching mask targets."""
+    """Oriented (1,h,w) slices with matching mask targets."""
     samples, targets = [], []
     for v, m in dataset:
-        img = orient(v.data, view)
-        msk = orient(m.data, view)
-        pad_h = _sym_pad(img.shape[1])
-        pad_w = _sym_pad(img.shape[2])
-        img = np.pad(img, ((0, 0), pad_h, pad_w)).astype(np.float32)
-        msk = np.pad(msk, ((0, 0), pad_h, pad_w)).astype(np.float32)
+        img = orient(v.data, view).astype(np.float32, order="C")
+        msk = orient(m.data, view).astype(np.float32, order="C")
         for t in range(img.shape[0]):
             samples.append(img[t][None])
             targets.append(msk[t])

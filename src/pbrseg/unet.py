@@ -6,6 +6,9 @@ blocks that upsample with a 2x2 stride-2 transposed convolution, halve
 the channel count, concatenate the matching encoder skip tensor, and
 apply two more conv + relu pairs. A final 1x1 convolution plus sigmoid
 produces a single-channel probability map at full input resolution.
+
+``UNet.forward`` takes slices whose height and width divide by 16; callers
+run any other size through ``forward_padded``, which pads and crops.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from .errors import ConfigError, SchemaError
 CONV_KERNEL = 3
 CONV_PAD = 1
 UP_KERNEL = 2
+LEVELS = 4
+DIVISOR = 2 ** LEVELS  # every level halves the slice, so inputs must divide by this
 
 
 @dataclass(frozen=True)
@@ -45,31 +50,39 @@ class LayerSpec:
         elif self.kind not in ("activation", "concat"):
             raise ConfigError(f"unknown layer kind '{self.kind}'")
 
-    @property
-    def param_count(self) -> int:
-        if self.kind == "conv":
-            return self.out_channels * self.in_channels * self.kernel ** 2 + self.out_channels
-        if self.kind == "transposed-conv":
-            return self.in_channels * self.out_channels * self.kernel ** 2 + self.out_channels
-        return 0
-
 
 @dataclass(frozen=True)
 class UNetConfig:
+    """Everything a checkpoint header records about the architecture."""
+
     in_channels: int
-    out_channels: int = 1
     base_width: int = 8
-    levels: int = 4
 
     def __post_init__(self):
-        if self.in_channels < 1 or self.out_channels != 1:
-            raise ConfigError(f"invalid channel config: {self}")
-        if self.base_width < 1 or self.levels < 1:
-            raise ConfigError(f"invalid width/levels: {self}")
+        if self.in_channels < 1 or self.base_width < 1:
+            raise ConfigError(f"invalid channel/width config: {self}")
 
-    @property
-    def divisor(self) -> int:
-        return 2 ** self.levels
+
+def _margins(n: int) -> tuple:
+    extra = -n % DIVISOR
+    return extra // 2, extra - extra // 2
+
+
+def pad_to_divisor(x: np.ndarray) -> np.ndarray:
+    """Zero-pad the last two axes up to multiples of DIVISOR, extra // 2
+    before and the rest after; an array that already fits is not copied."""
+    pads = [_margins(n) for n in x.shape[-2:]]
+    if pads == [(0, 0), (0, 0)]:
+        return x
+    return np.pad(x, [(0, 0)] * (x.ndim - 2) + pads)
+
+
+def forward_padded(net, x: np.ndarray) -> np.ndarray:
+    """Inference on an (n, c, h, w) batch of any in-plane size: pad with
+    ``pad_to_divisor``, run ``net.forward``, crop the output back to h x w."""
+    h, w = x.shape[-2:]
+    top, left = _margins(h)[0], _margins(w)[0]
+    return net.forward(pad_to_divisor(x))[..., top:top + h, left:left + w]
 
 
 def _block_specs(block, in_c, out_c):
@@ -83,25 +96,25 @@ def _block_specs(block, in_c, out_c):
 
 def architecture_specs(config: UNetConfig):
     """Ordered (name, LayerSpec) pairs for the whole network."""
-    F, L = config.base_width, config.levels
-    widths = [F * 2 ** i for i in range(L)]
+    F = config.base_width
+    widths = [F * 2 ** i for i in range(LEVELS)]
     specs = []
     c = config.in_channels
     for i, w in enumerate(widths, start=1):
         specs += _block_specs(f"enc{i}", c, w)
         specs += [(f"pool{i}", LayerSpec("maxpool", w, w, 2, 2))]
         c = w
-    mid = F * 2 ** L
+    mid = F * 2 ** LEVELS
     specs += _block_specs("mid", c, mid)
     c = mid
-    for i in range(L, 0, -1):
+    for i in range(LEVELS, 0, -1):
         w = widths[i - 1]
         specs += [(f"dec{i}.up", LayerSpec("transposed-conv", c, w, UP_KERNEL, 2, 0))]
         specs += [(f"dec{i}.concat", LayerSpec("concat", 2 * w, 2 * w))]
         specs += _block_specs(f"dec{i}", 2 * w, w)
         c = w
-    specs += [("out", LayerSpec("conv", c, config.out_channels, 1, 1, 0))]
-    specs += [("out.sigmoid", LayerSpec("activation", config.out_channels, config.out_channels))]
+    specs += [("out", LayerSpec("conv", c, 1, 1, 1, 0))]
+    specs += [("out.sigmoid", LayerSpec("activation", 1, 1))]
     return specs
 
 
@@ -125,9 +138,6 @@ class UNet:
     def param_count(self) -> int:
         return sum(p.size for p in self.params.values())
 
-    def layer_specs(self):
-        return architecture_specs(self.config)
-
     # -- forward -----------------------------------------------------------
 
     def _conv(self, prefix, x, tape, padding=CONV_PAD):
@@ -149,18 +159,17 @@ class UNet:
         return x
 
     def forward(self, x, train=False):
-        cfg = self.config
-        if x.ndim != 4 or x.shape[1] != cfg.in_channels:
+        if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ConfigError(
-                f"expected input (n,{cfg.in_channels},h,w), got shape {tuple(x.shape)}")
+                f"expected input (n,{self.in_channels},h,w), got shape {tuple(x.shape)}")
         h, w = x.shape[2], x.shape[3]
-        if h % cfg.divisor or w % cfg.divisor:
+        if h % DIVISOR or w % DIVISOR:
             raise ConfigError(
-                f"input spatial dims must be divisible by {cfg.divisor}, got {h}x{w}")
+                f"input spatial dims must be divisible by {DIVISOR}, got {h}x{w}")
         tape = {} if train else None
         skips = []
         a = x
-        for i in range(1, cfg.levels + 1):
+        for i in range(1, LEVELS + 1):
             a = self._double_conv(f"enc{i}", a, tape)
             skips.append(a)
             if tape is not None:
@@ -169,7 +178,7 @@ class UNet:
             if tape is not None:
                 tape[f"pool{i}.idx"] = idx
         a = self._double_conv("mid", a, tape)
-        for i in range(cfg.levels, 0, -1):
+        for i in range(LEVELS, 0, -1):
             a, cache = ops.transposed_conv2d(a, self.params[f"dec{i}.up.w"],
                                              self.params[f"dec{i}.up.b"])
             if tape is not None:
@@ -207,14 +216,13 @@ class UNet:
         tape = self._tape
         if tape is None:
             raise ConfigError("backward() called without forward(train=True)")
-        cfg = self.config
         grads: dict = {}
         gy = ops.activation_backward(gy, tape["out.sigmoid"])
         gy, gw, gb = ops.conv2d_backward(gy, tape["out"])
         grads["out.w"] = gw
         grads["out.b"] = gb
-        skip_grads = [None] * cfg.levels
-        for i in range(1, cfg.levels + 1):  # decoder blocks in reverse execution order
+        skip_grads = [None] * LEVELS
+        for i in range(1, LEVELS + 1):  # decoder blocks in reverse execution order
             gy = self._double_conv_backward(f"dec{i}", gy, tape, grads)
             g_up, g_skip = ops.concat_channels_backward(gy, tape[f"dec{i}.split"])
             skip_grads[i - 1] = g_skip
@@ -222,7 +230,7 @@ class UNet:
             grads[f"dec{i}.up.w"] = gw
             grads[f"dec{i}.up.b"] = gb
         gy = self._double_conv_backward("mid", gy, tape, grads)
-        for i in range(cfg.levels, 0, -1):
+        for i in range(LEVELS, 0, -1):
             gy = ops.maxpool2x2_backward(gy, tape[f"pool{i}.idx"], tape[f"pool{i}.shape"])
             gy = gy + skip_grads[i - 1]
             gy = self._double_conv_backward(f"enc{i}", gy, tape, grads)

@@ -1,9 +1,10 @@
 """Multi-view slicing, per-view prediction, and probability fusion.
 
 A volume is sliced along each anatomical axis (axial by z, coronal by y,
-sagittal by x), every slice is zero-padded to dims divisible by 16 so it
-fits the 4-level network, and the per-view probability volumes are merged
-by voxelwise averaging.
+sagittal by x), every slice is run through the view's network, and the
+per-view probability volumes are merged by voxelwise averaging. Slices of
+any in-plane size work: ``unet.forward_padded`` pads them for the network
+and crops its output back.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .pvol import ProbVolume, Volume
+from .unet import forward_padded
 
 VIEWS = ("axial", "coronal", "sagittal")
-PAD_DIVISOR = 16
 
 _ORIENT = {"axial": (0, 1, 2), "coronal": (1, 0, 2), "sagittal": (2, 0, 1)}
 _UNORIENT = {"axial": (0, 1, 2), "coronal": (1, 0, 2), "sagittal": (1, 2, 0)}
@@ -34,18 +35,11 @@ def unorient(data: np.ndarray, view: str) -> np.ndarray:
 
 @dataclass
 class ViewStack:
-    """All slices of one view as an (n, 1, H, W) batch, padding recorded."""
+    """All slices of one view as an (n, 1, h, w) batch."""
 
     view: str
     slices: np.ndarray
-    padding: tuple  # ((top, bottom), (left, right)) zero padding
-    orig_dims: tuple
     spacing: tuple
-
-
-def _sym_pad(n: int):
-    extra = (-n) % PAD_DIVISOR
-    return extra // 2, extra - extra // 2
 
 
 def slice_views(v: Volume, views=VIEWS) -> dict:
@@ -54,12 +48,8 @@ def slice_views(v: Volume, views=VIEWS) -> dict:
     for view in views:
         if view not in _ORIENT:
             raise ConfigError(f"unknown view {view!r}")
-        arr = orient(v.data, view)
-        pad_h = _sym_pad(arr.shape[1])
-        pad_w = _sym_pad(arr.shape[2])
-        padded = np.pad(arr, ((0, 0), pad_h, pad_w))
-        out[view] = ViewStack(view, padded[:, None].astype(np.float32),
-                              (pad_h, pad_w), v.dims, v.spacing)
+        slices = orient(v.data, view)[:, None].astype(np.float32, order="C")
+        out[view] = ViewStack(view, slices, v.spacing)
     return out
 
 
@@ -68,14 +58,8 @@ def predict_view(net, stack: ViewStack, batch: int = 8) -> ProbVolume:
     the probabilities in original volume orientation."""
     if net.in_channels != 1:
         raise ConfigError(f"view net must take 1 channel, has {net.in_channels}")
-    n = stack.slices.shape[0]
-    chunks = []
-    for i in range(0, n, batch):
-        y = net.forward(stack.slices[i:i + batch])
-        chunks.append(y[:, 0])
-    p = np.concatenate(chunks, axis=0)
-    (t, b), (l, r) = stack.padding
-    p = p[:, t:p.shape[1] - b, l:p.shape[2] - r]
+    p = np.concatenate([forward_padded(net, stack.slices[i:i + batch])[:, 0]
+                        for i in range(0, len(stack.slices), batch)])
     return ProbVolume(unorient(p, stack.view).astype(np.float32), stack.spacing)
 
 

@@ -21,12 +21,13 @@ from conftest import finite_diff_grad, finite_diff_grad_at, record_criterion, re
 from pbrseg import ops
 from pbrseg.cli import main as cli_main
 from pbrseg.errors import UndefinedMetricError
-from pbrseg.hybrid import binarize, build_hybrid, sweep
+from pbrseg.hybrid import SweepConfig, binarize, build_hybrid, infer_pbr, sweep
 from pbrseg.metrics import dsc, hausdorff, iou, precision, recall
 from pbrseg.phantom import gen_dataset
 from pbrseg.preprocess import preprocess
 from pbrseg.pvol import MaskVolume, ProbVolume, Volume, read_pvol_file, write_pvol_file
-from pbrseg.training import desk_initial_schedule, desk_primary_schedule, train_initial, train_primary
+from pbrseg.training import (Phase, TrainSchedule, desk_initial_schedule,
+                             desk_primary_schedule, train_initial, train_primary)
 from pbrseg.unet import UNetConfig, build_unet
 
 
@@ -245,10 +246,24 @@ def test_pipeline_invariants():
     probe = ProbVolume(np.array([[[0.5 - 1e-7, 0.5, 0.5 + 1e-7]]], dtype=np.float32))
     ok &= list(binarize(probe, 0.5).data.reshape(-1)) == [0, 0, 1]
 
+    # in-plane sizes that are not multiples of 16: real nets on all three
+    # views infer maps of the input dims, and the refinement net trains
+    v3, m3 = gen_dataset(1, base_seed=3, dims=(20, 50, 60), taper=4)[0]
+    v3 = preprocess(v3)
+    views = {view: build_unet(UNetConfig(in_channels=1, base_width=2), seed=i)
+             for i, view in enumerate(("axial", "coronal", "sagittal"))}
+    res = infer_pbr(views, build_unet(UNetConfig(in_channels=5, base_width=2), seed=3),
+                    v3, SweepConfig(depth=2))
+    ok &= res.initial.dims == res.prob.dims == res.mask.dims == (20, 50, 60)
+    one_epoch = TrainSchedule((Phase("adam", 1e-3, 1),), val_fraction=0.0)
+    net3, logs3 = train_primary([(v3, m3)], views, 1, one_epoch, seed=0, base_width=2)
+    ok &= net3.in_channels == 3 and len(logs3) == 1 and np.isfinite(logs3[0].train_loss)
+
     record_criterion(
         "pipeline-invariants", ok,
         "channels 3/5/7 for d=1/2/3; border clamping on m=1 and m=2; "
-        "probabilities in [0,1] after both sweeps; tie at threshold -> background")
+        "probabilities in [0,1] after both sweeps; tie at threshold -> background; "
+        "infer and train on 20x50x60")
 
 
 # -- criterion 4: sequential-dependence witness ------------------------------

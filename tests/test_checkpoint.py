@@ -114,3 +114,13 @@ def test_unet_save_load_forward_identical(rng):
     net2 = UNet.from_checkpoint(load_checkpoint(blob))
     x = rng.standard_normal((1, 1, 16, 16)).astype(np.float32)
     np.testing.assert_array_equal(net.forward(x), net2.forward(x))
+
+
+@pytest.mark.parametrize("in_channels,base_width", [(1, 1), (3, 2), (5, 4), (7, 3)])
+def test_unet_roundtrip_every_architecture(in_channels, base_width):
+    net = build_unet(UNetConfig(in_channels, base_width=base_width), seed=in_channels)
+    net2 = UNet.load(net.save())
+    assert net2.config == net.config
+    assert set(net2.params) == set(net.params)
+    for k in net.params:
+        np.testing.assert_array_equal(net2.params[k], net.params[k])

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, config precedence, manifests, and
 an end-to-end pipeline smoke on tiny phantoms."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -8,11 +9,27 @@ import json
 import numpy as np
 import pytest
 
-from pbrseg.cli import main
+from pbrseg.cli import _ids, main
 from pbrseg.metrics import (dsc_histogram, evaluate_slices, reliability_curve,
                             small_target_report, volume_agreement, volume_mm3)
 from pbrseg.phantom import PhantomSpec, gen_phantom
 from pbrseg.pvol import MaskVolume, read_pvol_file, write_pvol_file
+from pbrseg.unet import UNetConfig, build_unet
+
+
+def _untrained_run(tmp_path, dims=(22, 48, 48)):
+    """One phantom plus untrained init_axial and primary_d1 checkpoints."""
+    data, run = tmp_path / "data", tmp_path / "run"
+    data.mkdir()
+    (run / "checkpoints").mkdir(parents=True)
+    v, m = gen_phantom(PhantomSpec(seed=0, dims=dims))
+    write_pvol_file(data / "phantom_000.pvol", v)
+    write_pvol_file(data / "phantom_000_mask.pvol", m)
+    (run / "checkpoints" / "init_axial.pbrw").write_bytes(
+        build_unet(UNetConfig(1, base_width=2)).save())
+    (run / "checkpoints" / "primary_d1.pbrw").write_bytes(
+        build_unet(UNetConfig(3, base_width=2)).save())
+    return data, run
 
 
 class TestExitCodes:
@@ -43,6 +60,19 @@ class TestExitCodes:
         code = main(["infer", "--data", str(data), "--run", str(tmp_path / "run")])
         assert code == 2
 
+    def test_missing_view_checkpoint(self, tmp_path, capsys):
+        data, run = _untrained_run(tmp_path)
+        code = main(["infer", "--data", str(data), "--run", str(run), "--views", "all"])
+        assert code == 2
+        assert "init_coronal.pbrw" in capsys.readouterr().err
+        assert not (run / "volumes" / "pred_phantom_000.pvol").exists()
+
+    def test_inverted_id_range(self, tmp_path, capsys):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _ids("3-1")
+        assert main(["infer", "--data", str(tmp_path), "--run", str(tmp_path / "run"),
+                     "--ids", "3-1"]) == 1
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "none.cfg"),
                      "phantom", "--out", str(tmp_path)]) == 1
@@ -70,6 +100,14 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("count=many\n")
         assert main(["--config", str(cfg), "phantom", "--out", str(tmp_path)]) == 1
+
+    def test_bad_boolean(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("augment = ture\n")
+        code = main(["--config", str(cfg), "train-init", "--data", str(tmp_path),
+                     "--run", str(tmp_path / "run")])
+        assert code == 1
+        assert "augment" in capsys.readouterr().err
 
     def test_comments_and_blanks_ok(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -103,6 +141,13 @@ class TestPhantomCommand:
                          "--dims", "22,48,48", "--seed", "9"]) == 0
             outs.append((out / "phantom_000.pvol").read_bytes())
         assert outs[0] == outs[1]
+
+
+def test_infer_any_in_plane_size(tmp_path):
+    data, run = _untrained_run(tmp_path, dims=(22, 50, 60))
+    assert main(["infer", "--data", str(data), "--run", str(run)]) == 0
+    for stem in ("pred", "prob", "pred_init", "prob_init"):
+        assert read_pvol_file(run / "volumes" / f"{stem}_phantom_000.pvol").dims == (22, 50, 60)
 
 
 @pytest.fixture(scope="module")

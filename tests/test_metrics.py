@@ -113,6 +113,16 @@ class TestHausdorff:
         d_ba = hausdorff(b, a, mode="directed")
         assert hausdorff(a, b) == max(d_ab, d_ba)
 
+    def test_both_mode_matches_separate_calls(self, rng):
+        a, b = _pair(rng, p=0.4)
+        sub = _mask(a.data * b.data)  # inside b: directed 0, symmetric > 0
+        for x, y in ((a, b), (sub, b)):
+            assert hausdorff(x, y, mode="both") == (hausdorff(x, y, mode="directed"),
+                                                    hausdorff(x, y))
+        r = evaluate_volume(sub, b)
+        assert (r.hd_directed, r.hd_symmetric) == hausdorff(sub, b, mode="both")
+        assert r.hd_directed == 0.0 < r.hd_symmetric
+
     def test_spacing_scales_distances(self):
         a = np.zeros((3, 4, 4))
         b = np.zeros((3, 4, 4))

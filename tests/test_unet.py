@@ -5,7 +5,8 @@ import pytest
 
 from pbrseg import ops
 from pbrseg.errors import ConfigError
-from pbrseg.unet import UNet, UNetConfig, architecture_specs, build_unet
+from pbrseg.unet import (UNet, UNetConfig, architecture_specs, build_unet, forward_padded,
+                         pad_to_divisor)
 
 from conftest import finite_diff_grad_at, rel_error
 
@@ -49,6 +50,28 @@ def test_rejects_indivisible_input():
     net = build_unet(UNetConfig(in_channels=3, base_width=2), seed=0)
     with pytest.raises(ConfigError):
         net.forward(np.zeros((1, 3, 60, 60), dtype=np.float32))
+
+
+def test_pad_to_divisor(rng):
+    x = rng.standard_normal((3, 1, 30, 17)).astype(np.float32)
+    padded = pad_to_divisor(x)
+    # 30 -> 32 pads (1, 1), 17 -> 32 pads (7, 8)
+    assert padded.shape == (3, 1, 32, 32)
+    np.testing.assert_array_equal(padded[:, :, 1:31, 7:24], x)
+    assert padded[:, :, 0, :].sum() == 0.0 and padded[:, :, 31, :].sum() == 0.0
+    assert padded[:, :, :, :7].sum() == 0.0 and padded[:, :, :, 24:].sum() == 0.0
+    fits = x[:, :, :16, :16]
+    assert pad_to_divisor(fits) is fits
+
+
+def test_forward_padded_keeps_input_dims(rng):
+    net = build_unet(UNetConfig(in_channels=3, base_width=2), seed=0)
+    x = rng.standard_normal((2, 3, 50, 60)).astype(np.float32)
+    y = forward_padded(net, x)
+    assert y.shape == (2, 1, 50, 60)
+    np.testing.assert_array_equal(y, net.forward(pad_to_divisor(x))[:, :, 7:57, 2:62])
+    x16 = x[:, :, :48, :48]
+    np.testing.assert_array_equal(forward_padded(net, x16), net.forward(x16))
 
 
 def test_rejects_wrong_channels():

@@ -5,8 +5,8 @@ import pytest
 
 from pbrseg.errors import ConfigError
 from pbrseg.pvol import ProbVolume, Volume
-from pbrseg.views import (VIEWS, ViewStack, estimate_initial, fuse_views,
-                          orient, predict_view, slice_views, unorient)
+from pbrseg.views import (VIEWS, estimate_initial, fuse_views, orient,
+                          predict_view, slice_views, unorient)
 
 
 class _StubNet:
@@ -59,23 +59,11 @@ def test_slice_views_padding(rng):
     stacks = slice_views(v)
     ax = stacks["axial"]
     assert ax.slices.shape == (32, 1, 64, 48)
-    assert ax.padding == ((0, 0), (0, 0))
     co = stacks["coronal"]
     assert co.slices.shape == (64, 1, 32, 48)
     sa = stacks["sagittal"]
     # 32x64 planes sliced by x; both in-plane dims already divisible
     assert sa.slices.shape == (48, 1, 32, 64)
-
-
-def test_slice_views_pads_to_divisor(rng):
-    v = Volume(rng.standard_normal((3, 30, 17)).astype(np.float32))
-    st = slice_views(v, views=("axial",))["axial"]
-    assert st.slices.shape == (3, 1, 32, 32)
-    assert st.padding == (((1, 1)), (7, 8))
-    # original content sits inside the pad frame, border is zero
-    np.testing.assert_array_equal(st.slices[0, 0, 1:31, 7:24], v.data[0])
-    assert st.slices[:, :, 0, :].sum() == 0.0
-    assert st.slices[:, :, :, :7].sum() == 0.0
 
 
 def test_predict_view_unpads_and_unorients(rng):
