@@ -6,12 +6,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .checkpoint import checkpoint_digest
@@ -22,7 +24,7 @@ from .metrics import (SliceReport, dsc_histogram, evaluate_slices, evaluate_volu
                       volume_agreement, volume_mm3, write_slice_csv,
                       write_volume_csv)
 from .phantom import PhantomSpec, gen_phantom
-from .preprocess import crop, preprocess
+from .preprocess import crop, crop_box, preprocess
 from .pvol import MaskVolume, Volume, read_pvol_file, write_pvol_file
 from .training import (desk_initial_schedule, desk_primary_schedule, train_initial,
                        train_primary, write_train_log)
@@ -69,6 +71,16 @@ def _views_arg(text: str) -> tuple:
     return views
 
 
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
+
+
+def _config_bool(text: str) -> bool:
+    if text.lower() not in _BOOLS:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a boolean")
+    return _BOOLS[text.lower()]
+
+
 def _id_number(vid: str, fallback: int) -> int:
     m = re.search(r"(\d+)$", vid)
     return int(m.group(1)) if m else fallback
@@ -92,25 +104,44 @@ def _discover(data_dir: Path):
     return out
 
 
-def _load_pairs(data_dir, ids=None, crop_hw=None):
-    """Preprocessed (id, volume, mask) triples, optionally filtered/cropped."""
-    pairs = []
+def _select(data_dir, ids):
+    """(id, volume path, mask) of the volumes the id filter keeps."""
+    out = []
     for i, (vid, vp, mp) in enumerate(_discover(data_dir)):
         if ids is not None and _id_number(vid, i) not in ids:
             continue
-        v = read_pvol_file(vp)
         m = read_pvol_file(mp)
         if not isinstance(m, MaskVolume):
             raise DataError(f"{mp} does not hold a binary mask")
+        out.append((vid, vp, m))
+    if not out:
+        raise DataError("id filter matched no volumes")
+    return out
+
+
+def _load_pairs(data_dir, ids=None, crop_hw=None):
+    """Preprocessed (id, volume, mask) triples, optionally filtered/cropped."""
+    pairs = []
+    for vid, vp, m in _select(data_dir, ids):
+        v = read_pvol_file(vp)
         if isinstance(v, MaskVolume):
             raise DataError(f"{vp} holds a mask, expected intensities")
         v = preprocess(v)
         if crop_hw is not None:
             v, m = crop(v, m, *crop_hw)
         pairs.append((vid, v, m))
-    if not pairs:
-        raise DataError("id filter matched no volumes")
     return pairs
+
+
+def _load_masks(data_dir, ids=None, crop_hw=None):
+    """(id, mask) pairs cropped as ``_load_pairs`` crops them; the intensity
+    volumes are not read."""
+    masks = []
+    for vid, _, m in _select(data_dir, ids):
+        if crop_hw is not None:
+            m = MaskVolume(m.data[crop_box(m, *crop_hw)].copy(), m.spacing)
+        masks.append((vid, m))
+    return masks
 
 
 def _run_dirs(run: Path):
@@ -127,6 +158,13 @@ def _write_json(path: Path, obj) -> None:
         f.write("\n")
 
 
+def _machine() -> dict:
+    """Processor count and library builds, so that run times can be compared."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"nproc": os.cpu_count(), "numpy": np.__version__, "scipy": scipy.__version__,
+            "blas_name": blas.get("name"), "blas_version": blas.get("version")}
+
+
 def _write_manifest(outdir: Path, command: str, args, digests: dict) -> None:
     cfg = {}
     for k, v in sorted(vars(args).items()):
@@ -140,7 +178,7 @@ def _write_manifest(outdir: Path, command: str, args, digests: dict) -> None:
             v = list(v)
         cfg[k] = v
     manifest = {"command": command, "version": __version__, "config": cfg,
-                "checkpoints": dict(sorted(digests.items()))}
+                "checkpoints": dict(sorted(digests.items())), "machine": _machine()}
     _write_json(Path(outdir) / f"manifest_{command.replace('-', '_')}.json", manifest)
 
 
@@ -253,9 +291,9 @@ def cmd_infer(args) -> int:
     return 0
 
 
-def _eval_set(pairs, pred_dir: Path, prefix: str):
+def _eval_set(masks, pred_dir: Path, prefix: str):
     vol_reports, slice_reports, mm3 = [], [], {"ids": [], "pred": [], "gt": []}
-    for vid, _, gt in pairs:
+    for vid, gt in masks:
         pred_path = Path(pred_dir) / f"{prefix}{vid}.pvol"
         if not pred_path.exists():
             raise DataError(f"missing prediction {pred_path}")
@@ -273,12 +311,11 @@ def _eval_set(pairs, pred_dir: Path, prefix: str):
 def cmd_eval(args) -> int:
     dirs = _run_dirs(args.run)
     pred_dir = Path(args.pred) if args.pred else dirs["volumes"]
-    pairs = _load_pairs(args.data, args.ids, args.crop)
+    masks = _load_masks(args.data, args.ids, args.crop)
     for prefix, tag in (("pred_", ""), ("pred_init_", "_init")):
-        if tag and not any((pred_dir / f"{prefix}{vid}.pvol").exists()
-                           for vid, _, _ in pairs):
+        if tag and not any((pred_dir / f"{prefix}{vid}.pvol").exists() for vid, _ in masks):
             continue
-        vols, slices, mm3 = _eval_set(pairs, pred_dir, prefix)
+        vols, slices, mm3 = _eval_set(masks, pred_dir, prefix)
         write_volume_csv(vols, dirs["reports"] / f"volumes{tag}.csv")
         write_slice_csv(slices, dirs["reports"] / f"slices{tag}.csv")
         _write_json(dirs["reports"] / f"summary{tag}.json", summarize(vols))
@@ -336,91 +373,96 @@ def cmd_report(args) -> int:
 
 # -- parser -----------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple:
+    """The argument parser, plus the table a config file is checked against:
+    each option's dest -> (value parser, the parsers that define it)."""
+    options = {}
+
+    def add(p, flag, **kw):
+        action = p.add_argument(flag, **kw)
+        convert = _config_bool if kw.get("action") == "store_true" else kw.get("type", str)
+        options.setdefault(action.dest, (convert, []))[1].append(p)
+
     parser = argparse.ArgumentParser(prog="pbrseg",
                                      description="probabilistic-map guided "
                                                  "recurrent volume segmentation")
-    parser.add_argument("--config", type=Path, default=None,
-                        help="flat key=value file; command-line flags win")
+    add(parser, "--config", type=Path, default=None,
+        help="flat key=value file; command-line flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("phantom", help="generate a synthetic dataset")
-    p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--count", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dims", type=_dims, default=(32, 64, 64))
-    p.add_argument("--contrast", type=float, default=90.0)
-    p.add_argument("--noise", type=float, default=18.0)
-    p.add_argument("--distractors", type=int, default=3)
-    p.add_argument("--min-radius", type=float, default=1.6)
-    p.add_argument("--max-radius", type=float, default=12.0)
-    p.add_argument("--taper", type=int, default=6)
+    add(p, "--out", type=Path, required=True)
+    add(p, "--count", type=int, default=20)
+    add(p, "--seed", type=int, default=0)
+    add(p, "--dims", type=_dims, default=(32, 64, 64))
+    add(p, "--contrast", type=float, default=90.0)
+    add(p, "--noise", type=float, default=18.0)
+    add(p, "--distractors", type=int, default=3)
+    add(p, "--min-radius", type=float, default=1.6)
+    add(p, "--max-radius", type=float, default=12.0)
+    add(p, "--taper", type=int, default=6)
     p.set_defaults(func=cmd_phantom)
 
     def common(p):
-        p.add_argument("--data", type=Path, required=True)
-        p.add_argument("--run", type=Path, required=True)
-        p.add_argument("--ids", type=_ids, default=None,
-                       help="volume numbers, e.g. 0-15 or 3,7,9")
-        p.add_argument("--crop", type=_crop_hw, default=None, help="h,w")
-        p.add_argument("--seed", type=int, default=0)
+        add(p, "--data", type=Path, required=True)
+        add(p, "--run", type=Path, required=True)
+        add(p, "--ids", type=_ids, default=None,
+            help="volume numbers, e.g. 0-15 or 3,7,9")
+        add(p, "--crop", type=_crop_hw, default=None, help="h,w")
+        add(p, "--seed", type=int, default=0)
 
     p = sub.add_parser("train-init", help="train per-view estimation nets")
     common(p)
-    p.add_argument("--views", type=_views_arg, default=("axial",))
-    p.add_argument("--sgd-epochs", type=int, default=3)
-    p.add_argument("--adam-epochs", type=int, default=5)
-    p.add_argument("--sgd-lr", type=float, default=5e-3)
-    p.add_argument("--adam-lr", type=float, default=1e-4)
-    p.add_argument("--patience", type=int, default=20)
-    p.add_argument("--val-fraction", type=float, default=0.01)
-    p.add_argument("--augment", action="store_true")
-    p.add_argument("--base-width", type=int, default=8)
+    add(p, "--views", type=_views_arg, default=("axial",))
+    add(p, "--sgd-epochs", type=int, default=3)
+    add(p, "--adam-epochs", type=int, default=5)
+    add(p, "--sgd-lr", type=float, default=5e-3)
+    add(p, "--adam-lr", type=float, default=1e-4)
+    add(p, "--patience", type=int, default=20)
+    add(p, "--val-fraction", type=float, default=0.01)
+    add(p, "--augment", action="store_true")
+    add(p, "--base-width", type=int, default=8)
     p.set_defaults(func=cmd_train_init)
 
     p = sub.add_parser("train-primary", help="train the refinement net")
     common(p)
-    p.add_argument("--views", type=_views_arg, default=("axial",))
-    p.add_argument("--depth", type=int, default=1, choices=(1, 2, 3))
-    p.add_argument("--epochs", type=int, default=6)
-    p.add_argument("--lr", type=float, default=5e-4)
-    p.add_argument("--patience", type=int, default=20)
-    p.add_argument("--val-fraction", type=float, default=0.01)
-    p.add_argument("--augment", action="store_true")
-    p.add_argument("--teacher-forced", action="store_true")
-    p.add_argument("--base-width", type=int, default=8)
+    add(p, "--views", type=_views_arg, default=("axial",))
+    add(p, "--depth", type=int, default=1, choices=(1, 2, 3))
+    add(p, "--epochs", type=int, default=6)
+    add(p, "--lr", type=float, default=5e-4)
+    add(p, "--patience", type=int, default=20)
+    add(p, "--val-fraction", type=float, default=0.01)
+    add(p, "--augment", action="store_true")
+    add(p, "--teacher-forced", action="store_true")
+    add(p, "--base-width", type=int, default=8)
     p.set_defaults(func=cmd_train_primary)
 
     p = sub.add_parser("infer", help="run refinement inference")
     common(p)
-    p.add_argument("--views", type=_views_arg, default=("axial",))
-    p.add_argument("--depth", type=int, default=1, choices=(1, 2, 3))
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--sweeps", choices=("both", "forward"), default="both")
-    p.add_argument("--inclusive", action="store_true",
-                   help="count probability == threshold as foreground")
-    p.add_argument("--workers", type=int, default=1)
+    add(p, "--views", type=_views_arg, default=("axial",))
+    add(p, "--depth", type=int, default=1, choices=(1, 2, 3))
+    add(p, "--threshold", type=float, default=0.5)
+    add(p, "--sweeps", choices=("both", "forward"), default="both")
+    add(p, "--inclusive", action="store_true",
+        help="count probability == threshold as foreground")
+    add(p, "--workers", type=int, default=1)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
     common(p)
-    p.add_argument("--pred", type=Path, default=None,
-                   help="directory of pred_<id>.pvol files (default run/volumes)")
+    add(p, "--pred", type=Path, default=None,
+        help="directory of pred_<id>.pvol files (default run/volumes)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("report", help="histograms, reliability, agreement tables")
-    p.add_argument("--run", type=Path, required=True)
-    p.add_argument("--area-threshold", type=int, default=300)
-    p.add_argument("--head-tail-n", type=int, default=3)
+    add(p, "--run", type=Path, required=True)
+    add(p, "--area-threshold", type=int, default=300)
+    add(p, "--head-tail-n", type=int, default=3)
     p.set_defaults(func=cmd_report)
-    return parser
+    return parser, options
 
 
-_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
-          **dict.fromkeys(("0", "false", "no", "off"), False)}
-
-
-def _apply_config_file(parser, argv):
+def _apply_config_file(options, argv):
     """Config precedence: command line > config file > built-in defaults."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", type=Path, default=None)
@@ -440,36 +482,23 @@ def _apply_config_file(parser, argv):
         key, val = line.split("=", 1)
         values[key.strip().replace("-", "_")] = val.strip()
 
-    actions = {}
-    for p in [parser] + list(parser._subparsers._group_actions[0].choices.values()):
-        for a in p._actions:
-            actions.setdefault(a.dest, a)
-    converted = {}
     for key, val in values.items():
-        if key not in actions:
+        if key not in options:
             raise ConfigError(f"unknown config key {key!r}")
-        a = actions[key]
-        if isinstance(a, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            if val.lower() not in _BOOLS:
-                raise ConfigError(f"bad config value for {key}: {val!r} is not a boolean")
-            converted[key] = _BOOLS[val.lower()]
-        elif a.type is not None:
-            try:
-                converted[key] = a.type(val)
-            except (ValueError, argparse.ArgumentTypeError) as e:
-                raise ConfigError(f"bad config value for {key}: {e}")
-        else:
-            converted[key] = val
-    for p in [parser] + list(parser._subparsers._group_actions[0].choices.values()):
-        p.set_defaults(**{k: v for k, v in converted.items()
-                          if any(a.dest == k for a in p._actions)})
+        convert, parsers = options[key]
+        try:
+            value = convert(val)
+        except (ValueError, argparse.ArgumentTypeError) as e:
+            raise ConfigError(f"bad config value for {key}: {e}")
+        for p in parsers:
+            p.set_defaults(**{key: value})
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, options = build_parser()
     try:
-        _apply_config_file(parser, argv)
+        _apply_config_file(options, argv)
         try:
             args = parser.parse_args(argv)
         except SystemExit as e:

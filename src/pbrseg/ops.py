@@ -3,16 +3,36 @@
 Every forward function returns ``(output, cache)`` and has a matching
 ``*_backward`` that consumes the upstream gradient plus the cache and
 returns gradients for each differentiable input. Tensors are plain numpy
-arrays of shape (batch, channels, rows, cols); kernels keep the input
-dtype, so float64 can be used for gradient checking and float32 for
-training. No hidden state anywhere: same inputs give bit-identical
-outputs.
+arrays of shape (batch, channels, rows, cols); outputs take the
+``np.result_type`` of the inputs, so float64 can be used for gradient
+checking and float32 for training. No hidden state anywhere: same inputs
+give bit-identical outputs.
+
+Convolutions are unrolled into matrix products (im2col). ``conv2d`` copies
+the zero-padded input once into a C-contiguous column buffer of shape
+(c*kh*kw, n*oh*ow), copied in runs along ow: row (ci, ki, kj) holds the
+pixels that tap (ki, kj) of channel ci meets, in output order. One product
+``cols^T @ W^T`` gives the output as (n*oh*ow, oc), returned as an NCHW view.
+Backward rebuilds the columns from the cached padded input: the weight
+gradient is one product with them, the input gradient one product batched
+over the kh*kw taps and folded back by kh*kw strided adds (col2im). The
+non-overlapping 2x2 stride-2 transposed convolution is one product batched
+over its four taps plus a reshape, both ways.
+
+BLAS may pick its summation order by operand layout (always for a
+single-column product, otherwise for small ones). The weight gradient and a
+single output channel therefore take pixel-major rows, and the tap products
+per-tap weight slices, as the tap-by-tap reference in ``tests/test_ops.py``
+does; on OpenBLAS the kernels equal that reference bit for bit at every
+layer of the width-8 net, so trained weights do not depend on which of the
+two computed them. Narrower nets have products small enough for the
+transposed columns of the forward product to change the last bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import expit
 
 from .errors import ConfigError
@@ -29,10 +49,22 @@ def _require_4d(x: np.ndarray, name: str) -> None:
 # convolution
 
 
+def _columns(xp, kh, kw, stride, oh, ow):
+    """Column buffer (c*kh*kw, n*oh*ow) of a padded input: row (ci, ki, kj)
+    holds the pixels that tap (ki, kj) of channel ci meets, in output order.
+    The copy runs along ow, so it is one pass over contiguous memory."""
+    n, c = xp.shape[:2]
+    sn, sc, sh, sw = xp.strides
+    window = as_strided(xp, (c, kh, kw, n, oh, ow), (sc, sh, sw, sn, stride * sh, stride * sw),
+                        writeable=False)
+    return np.ascontiguousarray(window).reshape(c * kh * kw, n * oh * ow)
+
+
 def conv2d(x, weight, bias, stride=1, padding=1):
     """Cross-correlation of x (n,c,h,w) with weight (oc,ic,kh,kw).
 
-    Output spatial dims are floor((h + 2p - k)/s) + 1.
+    Output spatial dims are floor((h + 2p - k)/s) + 1. The cache is
+    (x.shape, padded shape, padded input, weight, stride, padding).
     """
     _require_4d(x, "conv2d input")
     n, c, h, w = x.shape
@@ -47,36 +79,38 @@ def conv2d(x, weight, bias, stride=1, padding=1):
     ow = (w + 2 * padding - kw) // stride + 1
     if oh < 1 or ow < 1:
         raise ConfigError(f"conv2d kernel {kh}x{kw} too large for input {h}x{w} (pad {padding})")
-    if padding:
-        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    dtype = np.result_type(x, weight, bias)
+    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=dtype)
+    xp[:, :, padding:padding + h, padding:padding + w] = x
+    cols = _columns(xp, kh, kw, stride, oh, ow)
+    wm = weight.reshape(oc, -1).astype(dtype, copy=False)
+    if oc == 1:
+        # a matrix-vector product: its summation order follows the layout
+        y = np.dot(np.ascontiguousarray(cols.T), wm.T)
     else:
-        xp = x
-    # (n, c, oh, ow, kh, kw) view into the padded input; no copy
-    cols = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    y = np.tensordot(cols, weight, axes=((1, 4, 5), (1, 2, 3)))  # (n, oh, ow, oc)
-    y = y.transpose(0, 3, 1, 2) + bias[None, :, None, None]
-    cache = (x.shape, xp.shape, cols, weight, stride, padding)
-    return y, cache
+        y = np.dot(cols.T, wm.T)  # (n*oh*ow, oc)
+    y = y.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2) + bias[None, :, None, None]
+    # the padded input is a ninth of the columns, so it is what training keeps
+    return y, (x.shape, xp.shape, xp, weight, stride, padding)
 
 
 def conv2d_backward(gy, cache):
     """Gradients of conv2d w.r.t. (input, weight, bias)."""
-    x_shape, xp_shape, cols, weight, stride, padding = cache
-    _, _, kh, kw = weight.shape
+    x_shape, xp_shape, xp, weight, stride, padding = cache
+    n, c, h, w = x_shape
+    oc, _, kh, kw = weight.shape
     oh, ow = gy.shape[2], gy.shape[3]
     gb = gy.sum(axis=(0, 2, 3))
-    gw = np.tensordot(gy, cols, axes=((0, 2, 3), (0, 2, 3)))  # (oc, ic, kh, kw)
-    gxp = np.zeros(xp_shape, dtype=gy.dtype)
-    for ki in range(kh):
+    rows = np.ascontiguousarray(_columns(xp, kh, kw, stride, oh, ow).T)  # pixel-major
+    gw = np.dot(gy.transpose(1, 0, 2, 3).reshape(oc, -1), rows).reshape(weight.shape)
+    taps = weight.transpose(2, 3, 0, 1).reshape(kh * kw, oc, c)
+    gtaps = gy.transpose(0, 2, 3, 1).reshape(n * oh * ow, oc) @ taps  # (kh*kw, n*oh*ow, c)
+    gtaps = gtaps.reshape(kh, kw, n, oh, ow, c).transpose(0, 1, 2, 5, 3, 4)
+    gxp = np.zeros(xp_shape, dtype=gtaps.dtype)
+    for ki in range(kh):  # col2im: fold each tap's gradient back onto the input
         for kj in range(kw):
-            t = np.tensordot(gy, weight[:, :, ki, kj], axes=((1,), (0,)))  # (n, oh, ow, ic)
-            gxp[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += t.transpose(0, 3, 1, 2)
-    if padding:
-        h, w = x_shape[2], x_shape[3]
-        gx = gxp[:, :, padding:padding + h, padding:padding + w]
-    else:
-        gx = gxp
-    return gx, gw, gb
+            gxp[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += gtaps[ki, kj]
+    return gxp[:, :, padding:padding + h, padding:padding + w], gw, gb
 
 
 # ---------------------------------------------------------------------------
@@ -98,26 +132,23 @@ def transposed_conv2d(x, weight, bias):
         raise ConfigError(f"transposed_conv2d channel mismatch: input has {c}, weight expects {ic}")
     if bias.shape != (oc,):
         raise ConfigError(f"transposed_conv2d bias must have shape ({oc},), got {bias.shape}")
-    y = np.empty((n, oc, 2 * h, 2 * w), dtype=x.dtype)
-    for ki in range(2):
-        for kj in range(2):
-            t = np.tensordot(x, weight[:, :, ki, kj], axes=((1,), (0,)))  # (n, h, w, oc)
-            y[:, :, ki::2, kj::2] = t.transpose(0, 3, 1, 2)
+    taps = x.transpose(0, 2, 3, 1).reshape(n * h * w, ic) @ np.ascontiguousarray(
+        weight.transpose(2, 3, 0, 1))
+    # taps[ki, kj, (i, j), o] is output pixel (o, 2i + ki, 2j + kj)
+    y = taps.reshape(2, 2, n, h, w, oc).transpose(2, 5, 3, 0, 4, 1).reshape(n, oc, 2 * h, 2 * w)
     y += bias[None, :, None, None]
     return y, (x, weight)
 
 
 def transposed_conv2d_backward(gy, cache):
     x, weight = cache
+    n, ic, h, w = x.shape
+    oc = weight.shape[1]
     gb = gy.sum(axis=(0, 2, 3))
-    gx = np.zeros_like(x)
-    gw = np.zeros_like(weight)
-    for ki in range(2):
-        for kj in range(2):
-            sub = gy[:, :, ki::2, kj::2]  # (n, oc, h, w)
-            gx += np.tensordot(sub, weight[:, :, ki, kj], axes=((1,), (1,))).transpose(0, 3, 1, 2)
-            gw[:, :, ki, kj] = np.tensordot(x, sub, axes=((0, 2, 3), (0, 2, 3)))
-    return gx, gw, gb
+    gtaps = gy.reshape(n, oc, h, 2, w, 2).transpose(3, 5, 0, 2, 4, 1).reshape(2, 2, n * h * w, oc)
+    gw = (x.transpose(1, 0, 2, 3).reshape(ic, -1) @ gtaps).transpose(2, 3, 0, 1)
+    gx = (gtaps @ np.ascontiguousarray(weight.transpose(2, 3, 1, 0))).sum(axis=(0, 1))
+    return gx.reshape(n, h, w, ic).transpose(0, 3, 1, 2), gw, gb
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,17 @@ def preprocess(v: Volume, lo: float = HU_LO, hi: float = HU_HI) -> Volume:
 
 
 def crop(v: Volume, mask: MaskVolume, target_h: int, target_w: int):
-    """Crop both volumes in-plane to (target_h, target_w), centered on the
-    mask bounding box and clamped to the volume bounds."""
+    """Crop both volumes in-plane to ``crop_box(mask, target_h, target_w)``."""
     if v.dims != mask.dims:
         raise ConfigError(f"volume/mask dims differ: {v.dims} vs {mask.dims}")
-    m, h, w = v.dims
+    box = crop_box(mask, target_h, target_w)
+    return Volume(v.data[box].copy(), v.spacing), MaskVolume(mask.data[box].copy(), mask.spacing)
+
+
+def crop_box(mask: MaskVolume, target_h: int, target_w: int) -> tuple:
+    """Index of the in-plane (target_h, target_w) window centered on the
+    mask bounding box and clamped to the volume bounds."""
+    _, h, w = mask.dims
     if target_h > h or target_w > w:
         raise DataError(f"crop target ({target_h}, {target_w}) exceeds volume ({h}, {w})")
     fg = mask.data.any(axis=0)
@@ -54,9 +60,7 @@ def crop(v: Volume, mask: MaskVolume, target_h: int, target_w: int):
         cy, cx = h // 2, w // 2
     top = min(max(cy - target_h // 2, 0), h - target_h)
     left = min(max(cx - target_w // 2, 0), w - target_w)
-    vs = v.data[:, top:top + target_h, left:left + target_w]
-    ms = mask.data[:, top:top + target_h, left:left + target_w]
-    return Volume(vs.copy(), v.spacing), MaskVolume(ms.copy(), mask.spacing)
+    return np.s_[:, top:top + target_h, left:left + target_w]
 
 
 def _affine_matrix(angle_deg: float, shear: float) -> np.ndarray:

@@ -13,6 +13,7 @@ from pbrseg.cli import _ids, main
 from pbrseg.metrics import (dsc_histogram, evaluate_slices, reliability_curve,
                             small_target_report, volume_agreement, volume_mm3)
 from pbrseg.phantom import PhantomSpec, gen_phantom
+from pbrseg.preprocess import crop
 from pbrseg.pvol import MaskVolume, read_pvol_file, write_pvol_file
 from pbrseg.unet import UNetConfig, build_unet
 
@@ -130,6 +131,10 @@ class TestPhantomCommand:
             assert isinstance(m, MaskVolume)
         manifest = json.loads((out / "manifest_phantom.json").read_text())
         assert manifest["command"] == "phantom"
+        assert set(manifest["machine"]) == {"nproc", "numpy", "scipy",
+                                            "blas_name", "blas_version"}
+        assert manifest["machine"]["nproc"] >= 1
+        assert manifest["machine"]["numpy"] == np.__version__
         assert manifest["config"]["count"] == 2
         assert manifest["config"]["seed"] == 5
 
@@ -206,6 +211,32 @@ class TestEvalOutputs:
         with open(run / "reports" / "slices.csv") as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == 3 * 22
+
+    def test_eval_reads_no_intensity_volume(self, fabricated_run, tmp_path):
+        data, run, _ = fabricated_run
+        broken = tmp_path / "data"
+        broken.mkdir()
+        for mask in data.glob("*_mask.pvol"):
+            (broken / mask.name).write_bytes(mask.read_bytes())
+            (broken / mask.name.replace("_mask", "")).write_bytes(b"not a volume")
+        out = tmp_path / "run"
+        assert main(["eval", "--data", str(broken), "--run", str(out),
+                     "--pred", str(run / "volumes")]) == 0
+        for name in ("volumes.csv", "slices.csv", "volumes_init.csv"):
+            assert (out / "reports" / name).read_text() == (run / "reports" / name).read_text()
+
+    def test_eval_crops_masks_like_the_volumes(self, fabricated_run, tmp_path):
+        data, _, gts = fabricated_run
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        for vid, gt in gts.items():
+            v = read_pvol_file(data / f"{vid}.pvol")
+            write_pvol_file(preds / f"pred_{vid}.pvol", crop(v, gt, 30, 34)[1])
+        run = tmp_path / "run"
+        assert main(["eval", "--data", str(data), "--run", str(run), "--pred", str(preds),
+                     "--crop", "30,34"]) == 0
+        with open(run / "reports" / "volumes.csv") as f:
+            assert [r["dsc"] for r in csv.DictReader(f)] == ["1.000000"] * 3
 
 
 class TestReportFidelity:

@@ -1,10 +1,13 @@
 """Kernel-level checks: hand oracles, finite differences, adjoint identity."""
 
+import types
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import correlate2d
 
-from pbrseg import ops
+from pbrseg import ops, unet
 from pbrseg.errors import ConfigError
 
 from conftest import check_grad, finite_diff_grad, rel_error
@@ -12,6 +15,79 @@ from conftest import check_grad, finite_diff_grad, rel_error
 
 def scalar_loss(y, r):
     return float((y * r).sum())
+
+
+# -- tap-by-tap reference kernels ---------------------------------------------
+# One tensordot per kernel tap: slow, but the order in which they sum is the
+# one ops.py keeps, so both must agree bit for bit on the width-8 net.
+
+def ref_conv2d(x, weight, bias, stride=1, padding=1):
+    kh, kw = weight.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
+    cols = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    y = np.tensordot(cols, weight, axes=((1, 4, 5), (1, 2, 3)))  # (n, oh, ow, oc)
+    return y.transpose(0, 3, 1, 2) + bias[None, :, None, None], (x.shape, xp.shape, cols, weight,
+                                                                 stride, padding)
+
+
+def ref_conv2d_backward(gy, cache):
+    x_shape, xp_shape, cols, weight, stride, padding = cache
+    kh, kw = weight.shape[2:]
+    oh, ow = gy.shape[2:]
+    gw = np.tensordot(gy, cols, axes=((0, 2, 3), (0, 2, 3)))
+    gxp = np.zeros(xp_shape, dtype=gy.dtype)
+    for ki in range(kh):
+        for kj in range(kw):
+            t = np.tensordot(gy, weight[:, :, ki, kj], axes=((1,), (0,)))  # (n, oh, ow, ic)
+            gxp[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += t.transpose(0, 3, 1, 2)
+    h, w = x_shape[2:]
+    return gxp[:, :, padding:padding + h, padding:padding + w], gw, gy.sum(axis=(0, 2, 3))
+
+
+def ref_transposed_conv2d(x, weight, bias):
+    n, _, h, w = x.shape
+    y = np.empty((n, weight.shape[1], 2 * h, 2 * w), dtype=x.dtype)
+    for ki in range(2):
+        for kj in range(2):
+            y[:, :, ki::2, kj::2] = np.tensordot(x, weight[:, :, ki, kj],
+                                                 axes=((1,), (0,))).transpose(0, 3, 1, 2)
+    return y + bias[None, :, None, None], (x, weight)
+
+
+def ref_transposed_conv2d_backward(gy, cache):
+    x, weight = cache
+    gx, gw = np.zeros_like(x), np.zeros_like(weight)
+    for ki in range(2):
+        for kj in range(2):
+            sub = gy[:, :, ki::2, kj::2]
+            gx += np.tensordot(sub, weight[:, :, ki, kj], axes=((1,), (1,))).transpose(0, 3, 1, 2)
+            gw[:, :, ki, kj] = np.tensordot(x, sub, axes=((0, 2, 3), (0, 2, 3)))
+    return gx, gw, gy.sum(axis=(0, 2, 3))
+
+
+REF_OPS = types.SimpleNamespace(**{**vars(ops), "conv2d": ref_conv2d,
+                                   "conv2d_backward": ref_conv2d_backward,
+                                   "transposed_conv2d": ref_transposed_conv2d,
+                                   "transposed_conv2d_backward": ref_transposed_conv2d_backward})
+
+
+@pytest.mark.parametrize("in_channels,n,h,w,train", [(1, 1, 64, 64, True), (3, 1, 64, 64, True),
+                                                     (5, 1, 96, 80, True), (1, 8, 96, 80, False)])
+def test_width8_net_matches_tap_reference_bitwise(rng, monkeypatch, in_channels, n, h, w, train):
+    # the shapes of training (batch 1) and of the batched three-view estimate
+    net = unet.build_unet(unet.UNetConfig(in_channels, base_width=8), seed=3)
+    x = rng.standard_normal((n, in_channels, h, w)).astype(np.float32)
+    r = rng.standard_normal((n, 1, h, w)).astype(np.float32)
+    results = []
+    for kernels in (ops, REF_OPS):
+        monkeypatch.setattr(unet, "ops", kernels)
+        y = net.forward(x, train=train)
+        grads = net.backward(r)[0] if train else {}
+        results.append((y, grads))
+    (y, grads), (y_ref, grads_ref) = results
+    np.testing.assert_array_equal(y, y_ref)
+    for name, g in grads_ref.items():
+        np.testing.assert_array_equal(grads[name], g, err_msg=name)
 
 
 # -- conv2d -----------------------------------------------------------------
@@ -101,6 +177,51 @@ def test_conv2d_preserves_dtype(rng):
     w = rng.standard_normal((2, 2, 3, 3)).astype(np.float32)
     y, _ = ops.conv2d(x, w, np.zeros(2, dtype=np.float32))
     assert y.dtype == np.float32
+    # float32 stays float32 and float64 stays float64 through every conv kernel
+    for dtype in (np.float32, np.float64):
+        x = rng.standard_normal((2, 3, 6, 6)).astype(dtype)
+        b = rng.standard_normal(4).astype(dtype)
+        for forward, backward, w in (
+                (ops.conv2d, ops.conv2d_backward, rng.standard_normal((4, 3, 3, 3))),
+                (ops.transposed_conv2d, ops.transposed_conv2d_backward,
+                 rng.standard_normal((3, 4, 2, 2)))):
+            y, cache = forward(x, w.astype(dtype), b)
+            grads = backward(rng.standard_normal(y.shape).astype(dtype), cache)
+            assert [a.dtype for a in (y, *grads)] == [dtype] * 4
+
+
+def test_conv2d_stride2_padding1_gradients(rng):
+    # col2im folds taps back with both a stride and a padding margin
+    x = rng.standard_normal((2, 3, 7, 8))
+    w = rng.standard_normal((4, 3, 3, 3))
+    b = rng.standard_normal(4)
+    r = rng.standard_normal((2, 4, 4, 4))
+
+    def f():
+        y, _ = ops.conv2d(x, w, b, stride=2, padding=1)
+        return scalar_loss(y, r)
+
+    _, cache = ops.conv2d(x, w, b, stride=2, padding=1)
+    gx, gw, gb = ops.conv2d_backward(r, cache)
+    check_grad(gx, f, x)
+    check_grad(gw, f, w)
+    check_grad(gb, f, b)
+
+
+def test_conv2d_float32_batch_matches_scipy(rng):
+    # the slice size and batch of the three-view estimate, in training dtype
+    x = rng.standard_normal((8, 8, 96, 80)).astype(np.float32)
+    w = rng.standard_normal((8, 8, 3, 3)).astype(np.float32)
+    b = rng.standard_normal(8).astype(np.float32)
+    y, _ = ops.conv2d(x, w, b, stride=1, padding=1)
+    assert y.shape == (8, 8, 96, 80) and y.dtype == np.float32
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (1, 1), (1, 1)))
+    w64 = w.astype(np.float64)
+    ref = np.empty(y.shape)
+    for n in range(8):
+        for o in range(8):
+            ref[n, o] = sum(correlate2d(xp[n, c], w64[o, c], mode="valid") for c in range(8)) + b[o]
+    assert rel_error(y, ref) <= 1e-4
 
 
 # -- transposed conv --------------------------------------------------------
