@@ -2,8 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .checkpoint import (Checkpoint, checkpoint_digest, load_checkpoint,
-                         load_checkpoint_file, save_checkpoint, save_checkpoint_file)
+from .checkpoint import Checkpoint, checkpoint_digest, load_checkpoint, save_checkpoint
 from .errors import (ConfigError, DataError, MagicError, NumericalError,
                      PbrsegError, SchemaError, TruncationError,
                      UndefinedMetricError)

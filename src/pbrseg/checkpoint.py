@@ -100,16 +100,6 @@ def load_checkpoint(data: bytes) -> Checkpoint:
     return Checkpoint(params=params, in_channels=in_channels, base_width=base_width)
 
 
-def save_checkpoint_file(path, params, in_channels, base_width) -> None:
-    with open(path, "wb") as f:
-        f.write(save_checkpoint(params, in_channels, base_width))
-
-
-def load_checkpoint_file(path) -> Checkpoint:
-    with open(path, "rb") as f:
-        return load_checkpoint(f.read())
-
-
 def checkpoint_digest(data: bytes) -> str:
     """SHA-256 hex digest, used in run manifests."""
     return hashlib.sha256(data).hexdigest()

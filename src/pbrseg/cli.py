@@ -26,8 +26,7 @@ from .metrics import (SliceReport, dsc_histogram, evaluate_slices, evaluate_volu
 from .phantom import PhantomSpec, gen_phantom
 from .preprocess import crop, crop_box, preprocess
 from .pvol import MaskVolume, Volume, read_pvol_file, write_pvol_file
-from .training import (desk_initial_schedule, desk_primary_schedule, train_initial,
-                       train_primary, write_train_log)
+from .training import Phase, TrainSchedule, train_initial, train_primary, write_train_log
 from .unet import UNet
 from .views import VIEWS
 
@@ -79,6 +78,17 @@ def _config_bool(text: str) -> bool:
     if text.lower() not in _BOOLS:
         raise argparse.ArgumentTypeError(f"{text!r} is not a boolean")
     return _BOOLS[text.lower()]
+
+
+def _ranged(convert, lo, below=float("inf")):
+    """Converter for a number in [lo, below)."""
+    def parse(text):
+        value = convert(text)
+        if not lo <= value < below:
+            raise argparse.ArgumentTypeError(f"{value} is outside [{lo}, {below})")
+        return value
+    parse.__name__ = convert.__name__  # argparse names the type in its errors
+    return parse
 
 
 def _id_number(vid: str, fallback: int) -> int:
@@ -214,10 +224,9 @@ def cmd_train_init(args) -> int:
     dirs = _run_dirs(args.run)
     pairs = _load_pairs(args.data, args.ids, args.crop)
     dataset = [(v, m) for _, v, m in pairs]
-    schedule = desk_initial_schedule(args.sgd_epochs, args.adam_epochs,
-                                     args.sgd_lr, args.adam_lr)
-    schedule = schedule.__class__(schedule.phases, args.val_fraction,
-                                  args.patience, 0.5, args.augment)
+    schedule = TrainSchedule((Phase("sgd", args.sgd_lr, args.sgd_epochs),
+                              Phase("adam", args.adam_lr, args.adam_epochs)),
+                             args.val_fraction, args.patience, args.augment)
     digests = {}
     for view in args.views:
         net, logs = train_initial(dataset, view, schedule, args.seed, args.base_width)
@@ -234,9 +243,8 @@ def cmd_train_primary(args) -> int:
     pairs = _load_pairs(args.data, args.ids, args.crop)
     dataset = [(v, m) for _, v, m in pairs]
     init_nets = {} if args.teacher_forced else _load_init_nets(dirs["checkpoints"], args.views)
-    schedule = desk_primary_schedule(args.epochs, args.lr)
-    schedule = schedule.__class__(schedule.phases, args.val_fraction,
-                                  args.patience, 0.5, args.augment)
+    schedule = TrainSchedule((Phase("adam", args.lr, args.epochs),),
+                             args.val_fraction, args.patience, args.augment)
     net, logs = train_primary(dataset, init_nets, args.depth, schedule, args.seed,
                               teacher_forced=args.teacher_forced,
                               base_width=args.base_width)
@@ -249,6 +257,19 @@ def cmd_train_primary(args) -> int:
     return 0
 
 
+def _check_trained_views(run: Path, name: str, blob: bytes, views) -> None:
+    """Refuse views other than the ones the run's train-primary manifest
+    records for this very checkpoint; with no such record nothing is checked."""
+    path = Path(run) / "manifest_train_primary.json"
+    manifest = json.loads(path.read_text()) if path.exists() else {}
+    config = manifest.get("config", {})
+    trained = set(config.get("views", ()))
+    if (manifest.get("checkpoints", {}).get(name) == checkpoint_digest(blob)
+            and not config.get("teacher_forced") and trained != set(views)):
+        raise ConfigError(f"{name}.pbrw was trained on views {sorted(trained)}, "
+                          f"not on {sorted(set(views))}")
+
+
 def cmd_infer(args) -> int:
     dirs = _run_dirs(args.run)
     init_nets = _load_init_nets(dirs["checkpoints"], args.views)
@@ -256,6 +277,7 @@ def cmd_infer(args) -> int:
     if not primary_path.exists():
         raise DataError(f"missing checkpoint {primary_path}")
     primary_blob = primary_path.read_bytes()
+    _check_trained_views(args.run, primary_path.stem, primary_blob, args.views)
     config = SweepConfig(args.depth, args.threshold, args.sweeps, args.inclusive)
     pairs = _load_pairs(args.data, args.ids, args.crop)
 
@@ -375,13 +397,13 @@ def cmd_report(args) -> int:
 
 def build_parser() -> tuple:
     """The argument parser, plus the table a config file is checked against:
-    each option's dest -> (value parser, the parsers that define it)."""
+    each option's dest -> (value parser, choices, the parsers that define it)."""
     options = {}
 
     def add(p, flag, **kw):
         action = p.add_argument(flag, **kw)
         convert = _config_bool if kw.get("action") == "store_true" else kw.get("type", str)
-        options.setdefault(action.dest, (convert, []))[1].append(p)
+        options.setdefault(action.dest, (convert, kw.get("choices"), []))[2].append(p)
 
     parser = argparse.ArgumentParser(prog="pbrseg",
                                      description="probabilistic-map guided "
@@ -411,30 +433,29 @@ def build_parser() -> tuple:
         add(p, "--crop", type=_crop_hw, default=None, help="h,w")
         add(p, "--seed", type=int, default=0)
 
+    def training(p):
+        common(p)
+        add(p, "--patience", type=int, default=20)
+        add(p, "--val-fraction", type=_ranged(float, 0, below=1), default=0.01)
+        add(p, "--augment", action="store_true")
+        add(p, "--base-width", type=int, default=8)
+
     p = sub.add_parser("train-init", help="train per-view estimation nets")
-    common(p)
+    training(p)
     add(p, "--views", type=_views_arg, default=("axial",))
-    add(p, "--sgd-epochs", type=int, default=3)
-    add(p, "--adam-epochs", type=int, default=5)
+    add(p, "--sgd-epochs", type=_ranged(int, 0), default=3)
+    add(p, "--adam-epochs", type=_ranged(int, 0), default=5)
     add(p, "--sgd-lr", type=float, default=5e-3)
     add(p, "--adam-lr", type=float, default=1e-4)
-    add(p, "--patience", type=int, default=20)
-    add(p, "--val-fraction", type=float, default=0.01)
-    add(p, "--augment", action="store_true")
-    add(p, "--base-width", type=int, default=8)
     p.set_defaults(func=cmd_train_init)
 
     p = sub.add_parser("train-primary", help="train the refinement net")
-    common(p)
+    training(p)
     add(p, "--views", type=_views_arg, default=("axial",))
     add(p, "--depth", type=int, default=1, choices=(1, 2, 3))
-    add(p, "--epochs", type=int, default=6)
+    add(p, "--epochs", type=_ranged(int, 0), default=6)
     add(p, "--lr", type=float, default=5e-4)
-    add(p, "--patience", type=int, default=20)
-    add(p, "--val-fraction", type=float, default=0.01)
-    add(p, "--augment", action="store_true")
     add(p, "--teacher-forced", action="store_true")
-    add(p, "--base-width", type=int, default=8)
     p.set_defaults(func=cmd_train_primary)
 
     p = sub.add_parser("infer", help="run refinement inference")
@@ -445,7 +466,7 @@ def build_parser() -> tuple:
     add(p, "--sweeps", choices=("both", "forward"), default="both")
     add(p, "--inclusive", action="store_true",
         help="count probability == threshold as foreground")
-    add(p, "--workers", type=int, default=1)
+    add(p, "--workers", type=_ranged(int, 1), default=1)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
@@ -485,11 +506,14 @@ def _apply_config_file(options, argv):
     for key, val in values.items():
         if key not in options:
             raise ConfigError(f"unknown config key {key!r}")
-        convert, parsers = options[key]
+        convert, choices, parsers = options[key]
         try:
             value = convert(val)
         except (ValueError, argparse.ArgumentTypeError) as e:
             raise ConfigError(f"bad config value for {key}: {e}")
+        if choices is not None and value not in choices:
+            raise ConfigError(f"bad config value for {key}: {value!r} is not one of "
+                              f"{', '.join(map(str, choices))}")
         for p in parsers:
             p.set_defaults(**{key: value})
 

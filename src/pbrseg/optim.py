@@ -17,19 +17,16 @@ ADAM_EPS = 1e-8
 class OptimizerState:
     kind: str
     lr: float
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
 
-def init_optimizer(kind, params, lr, beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS):
+def init_optimizer(kind, params, lr):
     """Create zeroed optimizer state for a named parameter dict."""
     if kind not in ("sgd", "adam"):
         raise ConfigError(f"unknown optimizer kind '{kind}'")
-    state = OptimizerState(kind=kind, lr=float(lr), beta1=beta1, beta2=beta2, eps=eps)
+    state = OptimizerState(kind=kind, lr=float(lr))
     if kind == "adam":
         for name, p in params.items():
             state.m[name] = np.zeros_like(p)
@@ -53,15 +50,15 @@ def optimizer_step(params, grads, state):
             p -= state.lr * grads[name]
         return params, state
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
+    bc1 = 1.0 - ADAM_BETA1 ** state.step
+    bc2 = 1.0 - ADAM_BETA2 ** state.step
     for name, p in params.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.square(g)
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return params, state

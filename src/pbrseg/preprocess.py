@@ -17,11 +17,11 @@ ROTATION_MAX_DEG = 25.0
 SHEAR_MAX = 0.2
 
 
-def preprocess(v: Volume, lo: float = HU_LO, hi: float = HU_HI) -> Volume:
-    """Clamp intensities to [lo, hi], then normalize to zero mean, unit
+def preprocess(v: Volume) -> Volume:
+    """Clamp intensities to [HU_LO, HU_HI], then normalize to zero mean, unit
     variance (per volume). A volume that is constant after clamping comes
     back as all zeros with a warning."""
-    data = np.clip(v.data.astype(np.float64), lo, hi)
+    data = np.clip(v.data.astype(np.float64), HU_LO, HU_HI)
     mean = data.mean()
     std = data.std()
     if std < 1e-12:

@@ -160,9 +160,3 @@ def write_pvol_file(path, v: Volume | MaskVolume | ProbVolume) -> None:
     with open(path, "wb") as f:
         f.write(write_pvol(v))
 
-
-def as_prob(v: Volume | ProbVolume) -> ProbVolume:
-    """Reinterpret an f32 volume as a probability map, validating range."""
-    if isinstance(v, ProbVolume):
-        return v
-    return ProbVolume(v.data, v.spacing)

@@ -16,6 +16,8 @@ from .pvol import ProbVolume
 from .unet import UNet, UNetConfig, build_unet, pad_to_divisor
 from .views import VIEWS, estimate_initial, orient
 
+ANNEAL = 0.5  # learning-rate factor after `patience` epochs without improvement
+
 
 @dataclass(frozen=True)
 class Phase:
@@ -29,28 +31,7 @@ class TrainSchedule:
     phases: tuple
     val_fraction: float = 0.01
     patience: int = 20
-    anneal: float = 0.5
     augment: bool = False
-
-
-def paper_initial_schedule() -> TrainSchedule:
-    """Published two-phase recipe for the view nets."""
-    return TrainSchedule((Phase("sgd", 1e-4, 300), Phase("adam", 1e-5, 400)))
-
-
-def paper_primary_schedule() -> TrainSchedule:
-    """Published single-phase recipe for the refinement net."""
-    return TrainSchedule((Phase("adam", 1e-5, 300),))
-
-
-def desk_initial_schedule(sgd_epochs=3, adam_epochs=5, sgd_lr=5e-3, adam_lr=1e-4) -> TrainSchedule:
-    """Minutes-scale recipe for small phantom runs; higher rates make up
-    for the tiny epoch budget."""
-    return TrainSchedule((Phase("sgd", sgd_lr, sgd_epochs), Phase("adam", adam_lr, adam_epochs)))
-
-
-def desk_primary_schedule(epochs=6, lr=5e-4) -> TrainSchedule:
-    return TrainSchedule((Phase("adam", lr, epochs),))
 
 
 @dataclass
@@ -147,7 +128,7 @@ def fit(net: UNet, samples, targets, schedule: TrainSchedule, seed: int) -> list
             else:
                 since += 1
                 if since >= schedule.patience:
-                    state.lr *= schedule.anneal
+                    state.lr *= ANNEAL
                     since = 0
             epoch += 1
     if best_params is not None:

@@ -34,21 +34,6 @@ class LayerSpec:
     in_channels: int
     out_channels: int
     kernel: int = 0
-    stride: int = 0
-    padding: int = 0
-
-    def __post_init__(self):
-        if self.kind == "conv":
-            if self.kernel < 1 or self.stride < 1 or self.padding < 0:
-                raise ConfigError(f"bad conv geometry: {self}")
-        elif self.kind == "transposed-conv":
-            if (self.kernel, self.stride, self.padding) != (2, 2, 0):
-                raise ConfigError(f"transposed-conv must be 2x2 stride 2: {self}")
-        elif self.kind == "maxpool":
-            if self.in_channels != self.out_channels or (self.kernel, self.stride) != (2, 2):
-                raise ConfigError(f"maxpool must be 2x2 stride 2, channels preserved: {self}")
-        elif self.kind not in ("activation", "concat"):
-            raise ConfigError(f"unknown layer kind '{self.kind}'")
 
 
 @dataclass(frozen=True)
@@ -87,9 +72,9 @@ def forward_padded(net, x: np.ndarray) -> np.ndarray:
 
 def _block_specs(block, in_c, out_c):
     return [
-        (f"{block}.conv1", LayerSpec("conv", in_c, out_c, CONV_KERNEL, 1, CONV_PAD)),
+        (f"{block}.conv1", LayerSpec("conv", in_c, out_c, CONV_KERNEL)),
         (f"{block}.relu1", LayerSpec("activation", out_c, out_c)),
-        (f"{block}.conv2", LayerSpec("conv", out_c, out_c, CONV_KERNEL, 1, CONV_PAD)),
+        (f"{block}.conv2", LayerSpec("conv", out_c, out_c, CONV_KERNEL)),
         (f"{block}.relu2", LayerSpec("activation", out_c, out_c)),
     ]
 
@@ -102,18 +87,18 @@ def architecture_specs(config: UNetConfig):
     c = config.in_channels
     for i, w in enumerate(widths, start=1):
         specs += _block_specs(f"enc{i}", c, w)
-        specs += [(f"pool{i}", LayerSpec("maxpool", w, w, 2, 2))]
+        specs += [(f"pool{i}", LayerSpec("maxpool", w, w, 2))]
         c = w
     mid = F * 2 ** LEVELS
     specs += _block_specs("mid", c, mid)
     c = mid
     for i in range(LEVELS, 0, -1):
         w = widths[i - 1]
-        specs += [(f"dec{i}.up", LayerSpec("transposed-conv", c, w, UP_KERNEL, 2, 0))]
+        specs += [(f"dec{i}.up", LayerSpec("transposed-conv", c, w, UP_KERNEL))]
         specs += [(f"dec{i}.concat", LayerSpec("concat", 2 * w, 2 * w))]
         specs += _block_specs(f"dec{i}", 2 * w, w)
         c = w
-    specs += [("out", LayerSpec("conv", c, 1, 1, 1, 0))]
+    specs += [("out", LayerSpec("conv", c, 1, 1))]
     specs += [("out.sigmoid", LayerSpec("activation", 1, 1))]
     return specs
 
@@ -134,9 +119,6 @@ class UNet:
     @property
     def in_channels(self) -> int:
         return self.config.in_channels
-
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params.values())
 
     # -- forward -----------------------------------------------------------
 

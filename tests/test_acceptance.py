@@ -26,8 +26,7 @@ from pbrseg.metrics import dsc, hausdorff, iou, precision, recall
 from pbrseg.phantom import gen_dataset
 from pbrseg.preprocess import preprocess
 from pbrseg.pvol import MaskVolume, ProbVolume, Volume, read_pvol_file, write_pvol_file
-from pbrseg.training import (Phase, TrainSchedule, desk_initial_schedule,
-                             desk_primary_schedule, train_initial, train_primary)
+from pbrseg.training import Phase, TrainSchedule, train_initial, train_primary
 from pbrseg.unet import UNetConfig, build_unet
 
 
@@ -325,8 +324,8 @@ def desk_run(tmp_path_factory):
         write_pvol_file(data_dir / f"phantom_{i:03d}_mask.pvol", m)
     train = [(preprocess(v), m) for v, m in raw[:16]]
 
-    init_schedule = desk_initial_schedule()
-    primary_schedule = desk_primary_schedule()
+    init_schedule = TrainSchedule((Phase("sgd", 5e-3, 3), Phase("adam", 1e-4, 5)))
+    primary_schedule = TrainSchedule((Phase("adam", 5e-4, 6),))
     net_ax, _ = train_initial(train, "axial", init_schedule, seed=7)
     net_pr, _ = train_primary(train, {"axial": net_ax}, 1, primary_schedule, seed=7)
     (run_dir / "checkpoints" / "init_axial.pbrw").write_bytes(net_ax.save())

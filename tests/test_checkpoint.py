@@ -6,9 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from pbrseg.checkpoint import (checkpoint_digest, load_checkpoint,
-                               load_checkpoint_file, save_checkpoint,
-                               save_checkpoint_file)
+from pbrseg.checkpoint import checkpoint_digest, load_checkpoint, save_checkpoint
 from pbrseg.errors import MagicError, SchemaError, TruncationError
 from pbrseg.unet import UNet, UNetConfig, build_unet
 
@@ -93,14 +91,6 @@ def test_trailing_bytes():
     blob = save_checkpoint({"w": np.zeros(3, dtype=np.float32)}, 1, 8)
     with pytest.raises(SchemaError, match="trailing"):
         load_checkpoint(blob + b"\x00")
-
-
-def test_file_roundtrip(tmp_path, rng):
-    params = {"k": rng.standard_normal((2, 2)).astype(np.float32)}
-    path = tmp_path / "net.pbrw"
-    save_checkpoint_file(path, params, 1, 4)
-    ck = load_checkpoint_file(path)
-    assert ck.params["k"].tobytes() == params["k"].tobytes()
 
 
 def test_digest_matches_sha256(rng):

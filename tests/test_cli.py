@@ -74,6 +74,38 @@ class TestExitCodes:
         assert main(["infer", "--data", str(tmp_path), "--run", str(tmp_path / "run"),
                      "--ids", "3-1"]) == 1
 
+    def test_out_of_range_numbers(self, tmp_path, capsys):
+        data, run = _untrained_run(tmp_path)
+        where = ["--data", str(data), "--run", str(run)]
+        no_epochs = ["--base-width", "2", "--sgd-epochs", "0", "--adam-epochs", "0"]
+        for argv in (["train-init", *no_epochs, "--val-fraction", "-0.5"],
+                     ["train-init", "--base-width", "2", "--adam-epochs", "0",
+                      "--sgd-epochs", "-1"],
+                     ["train-primary", "--base-width", "2", "--epochs", "-2"],
+                     ["infer", "--workers", "0"],
+                     ["infer", "--workers", "-3"]):
+            assert main([*argv, *where]) == 1, argv
+            assert argv[-2] in capsys.readouterr().err
+        assert not (run / "volumes" / "pred_phantom_000.pvol").exists()
+
+    def test_views_differ_from_training(self, tmp_path, capsys):
+        data, run = _untrained_run(tmp_path)
+        for view in ("coronal", "sagittal"):
+            (run / "checkpoints" / f"init_{view}.pbrw").write_bytes(
+                build_unet(UNetConfig(1, base_width=2)).save())
+        where = ["--data", str(data), "--run", str(run)]
+        assert main(["train-primary", *where, "--views", "all", "--base-width", "2",
+                     "--epochs", "0"]) == 0
+        assert main(["infer", *where, "--views", "axial"]) == 1
+        err = capsys.readouterr().err
+        assert "['axial', 'coronal', 'sagittal']" in err and "not on ['axial']" in err
+        assert not (run / "volumes" / "pred_phantom_000.pvol").exists()
+        assert main(["infer", *where, "--views", "sagittal,axial,coronal"]) == 0
+        # a checkpoint the manifest does not record is not checked
+        (run / "checkpoints" / "primary_d1.pbrw").write_bytes(
+            build_unet(UNetConfig(3, base_width=2), seed=1).save())
+        assert main(["infer", *where, "--views", "axial"]) == 0
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "none.cfg"),
                      "phantom", "--out", str(tmp_path)]) == 1
@@ -98,9 +130,17 @@ class TestConfigFile:
         assert main(["--config", str(cfg), "phantom", "--out", str(tmp_path)]) == 1
 
     def test_bad_value(self, tmp_path, capsys):
+        data, run = _untrained_run(tmp_path)
+        where = ["--data", str(data), "--run", str(run), "--base-width", "2"]
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("count=many\n")
-        assert main(["--config", str(cfg), "phantom", "--out", str(tmp_path)]) == 1
+        for text, argv in (("count=many", ["phantom", "--out", str(tmp_path / "out")]),
+                           ("depth = 7", ["train-primary", *where, "--epochs", "0"]),
+                           ("val-fraction = 1.0", ["train-init", *where, "--sgd-epochs", "0",
+                                                   "--adam-epochs", "0"])):
+            cfg.write_text(text + "\n")
+            assert main(["--config", str(cfg), *argv]) == 1, text
+            assert text.split("=")[0].strip().replace("-", "_") in capsys.readouterr().err
+        assert not (run / "checkpoints" / "primary_d7.pbrw").exists()
 
     def test_bad_boolean(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

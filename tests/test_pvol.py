@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from pbrseg.errors import MagicError, SchemaError, TruncationError
-from pbrseg.pvol import (MaskVolume, ProbVolume, Volume, as_prob, read_pvol,
-                         read_pvol_file, write_pvol, write_pvol_file)
+from pbrseg.pvol import (MaskVolume, ProbVolume, Volume, read_pvol, read_pvol_file,
+                         write_pvol, write_pvol_file)
 
 
 def test_volume_roundtrip_bit_identical(rng):
@@ -116,14 +116,6 @@ def test_prob_volume_range_validation():
         ProbVolume(np.full((1, 2, 2), 1.5, dtype=np.float32))
     p = ProbVolume(np.full((1, 2, 2), 0.25, dtype=np.float32))
     assert p.dims == (1, 2, 2)
-
-
-def test_as_prob_checks_range(rng):
-    v = Volume(rng.uniform(size=(2, 3, 3)).astype(np.float32))
-    p = as_prob(v)
-    assert isinstance(p, ProbVolume)
-    with pytest.raises(SchemaError):
-        as_prob(Volume(np.full((1, 1, 1), 2.0, dtype=np.float32)))
 
 
 def test_file_roundtrip(tmp_path, rng):

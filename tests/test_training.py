@@ -5,13 +5,12 @@ import csv
 import numpy as np
 import pytest
 
+from pbrseg.cli import build_parser
 from pbrseg.errors import ConfigError, DataError, NumericalError
 from pbrseg.phantom import gen_dataset
 from pbrseg.preprocess import preprocess
-from pbrseg.training import (Phase, TrainSchedule, desk_initial_schedule,
-                             desk_primary_schedule, fit,
-                             paper_initial_schedule, train_initial,
-                             train_primary, write_train_log)
+from pbrseg.training import (Phase, TrainSchedule, fit, train_initial, train_primary,
+                             write_train_log)
 from pbrseg.unet import UNetConfig, build_unet
 
 
@@ -163,14 +162,12 @@ def test_write_train_log(tmp_path, blob_data):
 
 
 def test_schedules():
-    s = paper_initial_schedule()
-    assert [p.optimizer for p in s.phases] == ["sgd", "adam"]
-    assert [p.epochs for p in s.phases] == [300, 400]
-    d = desk_initial_schedule()
-    assert [p.optimizer for p in d.phases] == ["sgd", "adam"]
-    assert sum(p.epochs for p in d.phases) <= 70
-    p = desk_primary_schedule()
-    assert p.phases[0].optimizer == "adam" and p.phases[0].epochs <= 50
+    # the CLI's default epoch budget stays desk-sized: <= 30+40 and <= 50 epochs
+    parser, _ = build_parser()
+    where = ["--data", "d", "--run", "r"]
+    init = parser.parse_args(["train-init", *where])
+    assert init.sgd_epochs <= 30 and init.adam_epochs <= 40
+    assert parser.parse_args(["train-primary", *where]).epochs <= 50
 
 
 @pytest.fixture(scope="module")

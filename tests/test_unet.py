@@ -43,7 +43,7 @@ def test_param_count_matches_hand_enumeration():
     expected += conv(f, 1, 1)
 
     net = build_unet(UNetConfig(in_channels=c, base_width=f), seed=0)
-    assert net.param_count() == expected
+    assert sum(p.size for p in net.params.values()) == expected
 
 
 def test_rejects_indivisible_input():
@@ -82,9 +82,11 @@ def test_rejects_wrong_channels():
 
 def test_channel_swap_changes_only_first_conv():
     f = 4
-    n1 = build_unet(UNetConfig(in_channels=1, base_width=f), seed=0).param_count()
-    n3 = build_unet(UNetConfig(in_channels=3, base_width=f), seed=0).param_count()
-    assert n3 - n1 == 2 * f * 9
+
+    def count(c):
+        net = build_unet(UNetConfig(in_channels=c, base_width=f), seed=0)
+        return sum(p.size for p in net.params.values())
+    assert count(3) - count(1) == 2 * f * 9
 
 
 def test_spatial_dims_preserved(rng):
