@@ -9,13 +9,12 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, parallel
 from .checkpoint import checkpoint_digest
 from .errors import ConfigError, DataError, NumericalError
 from .hybrid import SweepConfig, binarize, infer_pbr
@@ -169,10 +168,13 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _machine() -> dict:
-    """Processor count and library builds, so that run times can be compared."""
+    """Processor count, thread pools and library builds, so that run times
+    can be compared."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"nproc": os.cpu_count(), "numpy": np.__version__, "scipy": scipy.__version__,
-            "blas_name": blas.get("name"), "blas_version": blas.get("version")}
+    return {"nproc": os.cpu_count(), "threads": parallel.threads(),
+            "blas_threads": parallel.blas_threads(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "blas_name": blas.get("name"),
+            "blas_version": blas.get("version")}
 
 
 def _write_manifest(outdir: Path, command: str, args, digests: dict) -> None:
@@ -295,11 +297,7 @@ def cmd_infer(args) -> int:
                         binarize(result.initial, args.threshold, args.inclusive))
         return vid, result.timings
 
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(run_one, pairs))
-    else:
-        results = [run_one(p) for p in pairs]
+    results = parallel.run(run_one, pairs, args.workers)
 
     with open(dirs["volumes"] / "timing.jsonl", "w") as f:
         for vid, timings in sorted(results):
@@ -397,13 +395,13 @@ def cmd_report(args) -> int:
 
 def build_parser() -> tuple:
     """The argument parser, plus the table a config file is checked against:
-    each option's dest -> (value parser, choices, the parsers that define it)."""
+    each option's dest -> (value parser, choices, the actions that define it)."""
     options = {}
 
     def add(p, flag, **kw):
         action = p.add_argument(flag, **kw)
         convert = _config_bool if kw.get("action") == "store_true" else kw.get("type", str)
-        options.setdefault(action.dest, (convert, kw.get("choices"), []))[2].append(p)
+        options.setdefault(action.dest, (convert, kw.get("choices"), []))[2].append(action)
 
     parser = argparse.ArgumentParser(prog="pbrseg",
                                      description="probabilistic-map guided "
@@ -506,7 +504,7 @@ def _apply_config_file(options, argv):
     for key, val in values.items():
         if key not in options:
             raise ConfigError(f"unknown config key {key!r}")
-        convert, choices, parsers = options[key]
+        convert, choices, actions = options[key]
         try:
             value = convert(val)
         except (ValueError, argparse.ArgumentTypeError) as e:
@@ -514,8 +512,8 @@ def _apply_config_file(options, argv):
         if choices is not None and value not in choices:
             raise ConfigError(f"bad config value for {key}: {value!r} is not one of "
                               f"{', '.join(map(str, choices))}")
-        for p in parsers:
-            p.set_defaults(**{key: value})
+        for action in actions:  # a value from the file satisfies a required flag
+            action.default, action.required = value, False
 
 
 def main(argv=None) -> int:

@@ -9,13 +9,20 @@ checking and float32 for training. No hidden state anywhere: same inputs
 give bit-identical outputs.
 
 Convolutions are unrolled into matrix products (im2col). ``conv2d`` copies
-the zero-padded input once into a C-contiguous column buffer of shape
-(c*kh*kw, n*oh*ow), copied in runs along ow: row (ci, ki, kj) holds the
-pixels that tap (ki, kj) of channel ci meets, in output order. One product
-``cols^T @ W^T`` gives the output as (n*oh*ow, oc), returned as an NCHW view.
-Backward rebuilds the columns from the cached padded input: the weight
-gradient is one product with them, the input gradient one product batched
-over the kh*kw taps and folded back by kh*kw strided adds (col2im). The
+the zero-padded input of one image at a time into a C-contiguous column
+buffer of shape (c*kh*kw, oh*ow), copied in runs along ow: row (ci, ki, kj)
+holds the pixels that tap (ki, kj) of channel ci meets, in output order. The
+product ``cols^T @ W^T`` of each image fills its rows of one (n*oh*ow, oc)
+output, returned as an NCHW view, so the column buffer holds nine times one
+image rather than nine times the batch. Two products stay whole, because
+splitting them would change their sums: a single output channel (a
+matrix-vector product, whose summation order follows its row count), and
+one of at most ``SMALL_PRODUCT`` multiply-adds per image, which OpenBLAS
+would give to its small-matrix kernel while the batch's product takes the
+blocked one. Backward rebuilds the columns of the whole batch from the
+cached padded input: the weight gradient is one product with them, the
+input gradient one product batched over the kh*kw taps and folded back by
+kh*kw strided adds (col2im). The
 non-overlapping 2x2 stride-2 transposed convolution is one product batched
 over its four taps plus a reshape, both ways.
 
@@ -38,6 +45,7 @@ from scipy.special import expit
 from .errors import ConfigError
 
 DICE_EPS = 1e-6
+SMALL_PRODUCT = 100 ** 3  # multiply-adds up to which OpenBLAS uses its small-matrix kernel
 
 
 def _require_4d(x: np.ndarray, name: str) -> None:
@@ -82,13 +90,16 @@ def conv2d(x, weight, bias, stride=1, padding=1):
     dtype = np.result_type(x, weight, bias)
     xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=dtype)
     xp[:, :, padding:padding + h, padding:padding + w] = x
-    cols = _columns(xp, kh, kw, stride, oh, ow)
     wm = weight.reshape(oc, -1).astype(dtype, copy=False)
     if oc == 1:
         # a matrix-vector product: its summation order follows the layout
-        y = np.dot(np.ascontiguousarray(cols.T), wm.T)
+        y = np.dot(np.ascontiguousarray(_columns(xp, kh, kw, stride, oh, ow).T), wm.T)
     else:
-        y = np.dot(cols.T, wm.T)  # (n*oh*ow, oc)
+        # one image's columns at a time, unless its product is a small one
+        groups = n if oh * ow * oc * wm.shape[1] > SMALL_PRODUCT else 1
+        y = np.empty((n * oh * ow, oc), dtype=dtype)
+        for rows, part in zip(np.split(y, groups), np.split(xp, groups)):
+            np.dot(_columns(part, kh, kw, stride, oh, ow).T, wm.T, out=rows)
     y = y.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2) + bias[None, :, None, None]
     # the padded input is a ninth of the columns, so it is what training keeps
     return y, (x.shape, xp.shape, xp, weight, stride, padding)

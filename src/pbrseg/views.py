@@ -4,7 +4,8 @@ A volume is sliced along each anatomical axis (axial by z, coronal by y,
 sagittal by x), every slice is run through the view's network, and the
 per-view probability volumes are merged by voxelwise averaging. Slices of
 any in-plane size work: ``unet.forward_padded`` pads them for the network
-and crops its output back.
+and crops its output back. The forwards of all views run on every core
+(``parallel.run``); the fused map does not depend on how many.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .errors import ConfigError
 from .pvol import ProbVolume, Volume
 from .unet import forward_padded
@@ -53,14 +55,33 @@ def slice_views(v: Volume, views=VIEWS) -> dict:
     return out
 
 
+def _forward(job):
+    net, slices = job
+    return forward_padded(net, slices)[:, 0]
+
+
+def _predict_views(pairs, batch: int) -> list:
+    """Probability volumes, in original orientation, of (net, ViewStack)
+    pairs. Every batch of slices of every view is an independent forward,
+    so the batches run as jobs of ``parallel.run``. The batch stays fixed:
+    the last bits of the single-channel output layer depend on it."""
+    for net, _ in pairs:
+        if net.in_channels != 1:
+            raise ConfigError(f"view net must take 1 channel, has {net.in_channels}")
+    jobs = [(net, stack.slices[i:i + batch]) for net, stack in pairs
+            for i in range(0, len(stack.slices), batch)]
+    probs = iter(parallel.run(_forward, jobs))
+    out = []
+    for _, stack in pairs:
+        p = np.concatenate([next(probs) for _ in range(0, len(stack.slices), batch)])
+        out.append(ProbVolume(unorient(p, stack.view).astype(np.float32), stack.spacing))
+    return out
+
+
 def predict_view(net, stack: ViewStack, batch: int = 8) -> ProbVolume:
     """Run the single-channel net over every slice of a view and reassemble
     the probabilities in original volume orientation."""
-    if net.in_channels != 1:
-        raise ConfigError(f"view net must take 1 channel, has {net.in_channels}")
-    p = np.concatenate([forward_padded(net, stack.slices[i:i + batch])[:, 0]
-                        for i in range(0, len(stack.slices), batch)])
-    return ProbVolume(unorient(p, stack.view).astype(np.float32), stack.spacing)
+    return _predict_views([(net, stack)], batch)[0]
 
 
 def fuse_views(*maps: ProbVolume) -> ProbVolume:
@@ -88,4 +109,4 @@ def estimate_initial(nets: dict, v: Volume, batch: int = 8) -> ProbVolume:
     if not used:
         raise ConfigError(f"no usable views in {sorted(nets)}")
     stacks = slice_views(v, views=used)
-    return fuse_views(*[predict_view(nets[view], stacks[view], batch) for view in used])
+    return fuse_views(*_predict_views([(nets[view], stacks[view]) for view in used], batch))

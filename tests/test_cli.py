@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+from pbrseg import parallel
 from pbrseg.cli import _ids, main
 from pbrseg.metrics import (dsc_histogram, evaluate_slices, reliability_curve,
                             small_target_report, volume_agreement, volume_mm3)
@@ -150,6 +151,22 @@ class TestConfigFile:
         assert code == 1
         assert "augment" in capsys.readouterr().err
 
+    def test_required_options_from_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        cfg.write_text(f"out = {out}\n")
+        assert main(["--config", str(cfg), "phantom", "--count", "1",
+                     "--dims", "22,48,48"]) == 0
+        assert (out / "phantom_000.pvol").exists()
+
+        data, run = _untrained_run(tmp_path)
+        cfg.write_text(f"data = {data}\nrun = {run}\n")
+        assert main(["--config", str(cfg), "infer"]) == 0
+        assert (run / "volumes" / "pred_phantom_000.pvol").exists()
+        # without the file the flags are still required
+        assert main(["infer"]) == 1
+        assert "required" in capsys.readouterr().err
+
     def test_comments_and_blanks_ok(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# tiny dataset\n\ncount=1\ndims=22,48,48\n")
@@ -171,10 +188,14 @@ class TestPhantomCommand:
             assert isinstance(m, MaskVolume)
         manifest = json.loads((out / "manifest_phantom.json").read_text())
         assert manifest["command"] == "phantom"
-        assert set(manifest["machine"]) == {"nproc", "numpy", "scipy",
-                                            "blas_name", "blas_version"}
-        assert manifest["machine"]["nproc"] >= 1
-        assert manifest["machine"]["numpy"] == np.__version__
+        machine = manifest["machine"]
+        assert set(machine) == {"nproc", "threads", "blas_threads", "numpy", "scipy",
+                                "blas_name", "blas_version"}
+        assert machine["nproc"] >= 1
+        assert machine["threads"] == parallel.threads() >= 1
+        assert machine["blas_threads"] == parallel.blas_threads()
+        assert machine["blas_threads"] is None or machine["blas_threads"] >= 1
+        assert machine["numpy"] == np.__version__
         assert manifest["config"]["count"] == 2
         assert manifest["config"]["seed"] == 5
 

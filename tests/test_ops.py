@@ -72,9 +72,12 @@ REF_OPS = types.SimpleNamespace(**{**vars(ops), "conv2d": ref_conv2d,
 
 
 @pytest.mark.parametrize("in_channels,n,h,w,train", [(1, 1, 64, 64, True), (3, 1, 64, 64, True),
-                                                     (5, 1, 96, 80, True), (1, 8, 96, 80, False)])
+                                                     (5, 1, 96, 80, True), (1, 8, 96, 80, False),
+                                                     (1, 8, 48, 48, False)])
 def test_width8_net_matches_tap_reference_bitwise(rng, monkeypatch, in_channels, n, h, w, train):
-    # the shapes of training (batch 1) and of the batched three-view estimate
+    # the shapes of training (batch 1) and of the batched three-view estimate;
+    # at 48x48 the deepest convs have products small enough per image for
+    # BLAS to sum them in another order
     net = unet.build_unet(unet.UNetConfig(in_channels, base_width=8), seed=3)
     x = rng.standard_normal((n, in_channels, h, w)).astype(np.float32)
     r = rng.standard_normal((n, 1, h, w)).astype(np.float32)

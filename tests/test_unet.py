@@ -1,5 +1,7 @@
 """Network assembly, shape flow, and the end-to-end gradient check."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -185,3 +187,18 @@ def test_checkpoint_roundtrip_preserves_forward(rng):
     assert restored.config.base_width == 4
     x = rng.standard_normal((1, 3, 16, 16)).astype(np.float32)
     np.testing.assert_array_equal(net.forward(x), restored.forward(x))
+
+
+def test_batch8_forward_memory_is_bounded(rng):
+    """Conv columns are built one image at a time, so a batch-8 96x80 forward
+    of the width-8 net stays under 25 MB of numpy buffers (the whole batch's
+    columns took about 50 MB)."""
+    net = build_unet(UNetConfig(in_channels=1, base_width=8), seed=0)
+    x = rng.standard_normal((8, 1, 96, 80)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        net.forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6, f"forward peak {peak / 1e6:.1f} MB"

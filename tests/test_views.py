@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from pbrseg import parallel
 from pbrseg.errors import ConfigError
 from pbrseg.pvol import ProbVolume, Volume
+from pbrseg.unet import UNetConfig, build_unet
 from pbrseg.views import (VIEWS, estimate_initial, fuse_views, orient,
                           predict_view, slice_views, unorient)
 
@@ -86,7 +88,8 @@ def test_predict_view_constant_net(rng):
     np.testing.assert_array_equal(p.data, np.full((4, 32, 32), 0.25, dtype=np.float32))
 
 
-def test_predict_view_batches(rng):
+def test_predict_view_batches(rng, monkeypatch):
+    monkeypatch.setattr(parallel, "cores", lambda: 1)  # the stub records call order
     v = Volume(rng.standard_normal((10, 16, 16)).astype(np.float32))
     st = slice_views(v, views=("axial",))["axial"]
     net = _StubNet()
@@ -143,6 +146,17 @@ def test_estimate_initial_axial_only(rng):
     v = Volume(rng.standard_normal((4, 32, 32)).astype(np.float32))
     p = estimate_initial({"axial": _StubNet(0.7)}, v)
     np.testing.assert_allclose(p.data, 0.7, atol=1e-7)
+
+
+def test_estimate_initial_same_bytes_on_one_and_two_threads(rng, monkeypatch):
+    nets = {view: build_unet(UNetConfig(1, base_width=8), seed=i)
+            for i, view in enumerate(VIEWS)}
+    v = Volume(rng.standard_normal((20, 48, 40)).astype(np.float32))
+    maps = []
+    for n in (1, 2):
+        monkeypatch.setattr(parallel, "cores", lambda n=n: n)
+        maps.append(estimate_initial(nets, v).data.tobytes())
+    assert maps[0] == maps[1]
 
 
 def test_estimate_initial_no_views():
