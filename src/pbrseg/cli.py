@@ -194,14 +194,21 @@ def _write_manifest(outdir: Path, command: str, args, digests: dict) -> None:
     _write_json(Path(outdir) / f"manifest_{command.replace('-', '_')}.json", manifest)
 
 
-def _load_init_nets(ckpt_dir: Path, views) -> dict:
-    nets = {}
+def _read_checkpoint(path: Path) -> bytes:
+    if not path.exists():
+        raise DataError(f"missing checkpoint {path}")
+    return path.read_bytes()
+
+
+def _load_init_nets(ckpt_dir: Path, views) -> tuple:
+    """The init nets by view, and the digest of each file read, keyed
+    ``init_<view>`` as in the manifests."""
+    nets, digests = {}, {}
     for view in views:
-        path = Path(ckpt_dir) / f"init_{view}.pbrw"
-        if not path.exists():
-            raise DataError(f"missing checkpoint {path}")
-        nets[view] = UNet.load(path.read_bytes())
-    return nets
+        blob = _read_checkpoint(Path(ckpt_dir) / f"init_{view}.pbrw")
+        nets[view] = UNet.load(blob)
+        digests[f"init_{view}"] = checkpoint_digest(blob)
+    return nets, digests
 
 
 # -- subcommands ------------------------------------------------------------
@@ -244,7 +251,9 @@ def cmd_train_primary(args) -> int:
     dirs = _run_dirs(args.run)
     pairs = _load_pairs(args.data, args.ids, args.crop)
     dataset = [(v, m) for _, v, m in pairs]
-    init_nets = {} if args.teacher_forced else _load_init_nets(dirs["checkpoints"], args.views)
+    init_nets = {}
+    if not args.teacher_forced:
+        init_nets, _ = _load_init_nets(dirs["checkpoints"], args.views)
     schedule = TrainSchedule((Phase("adam", args.lr, args.epochs),),
                              args.val_fraction, args.patience, args.augment)
     net, logs = train_primary(dataset, init_nets, args.depth, schedule, args.seed,
@@ -259,14 +268,15 @@ def cmd_train_primary(args) -> int:
     return 0
 
 
-def _check_trained_views(run: Path, name: str, blob: bytes, views) -> None:
+def _check_trained_views(run: Path, name: str, digest: str, views) -> None:
     """Refuse views other than the ones the run's train-primary manifest
-    records for this very checkpoint; with no such record nothing is checked."""
+    records for the checkpoint with this digest; with no such record nothing
+    is checked."""
     path = Path(run) / "manifest_train_primary.json"
     manifest = json.loads(path.read_text()) if path.exists() else {}
     config = manifest.get("config", {})
     trained = set(config.get("views", ()))
-    if (manifest.get("checkpoints", {}).get(name) == checkpoint_digest(blob)
+    if (manifest.get("checkpoints", {}).get(name) == digest
             and not config.get("teacher_forced") and trained != set(views)):
         raise ConfigError(f"{name}.pbrw was trained on views {sorted(trained)}, "
                           f"not on {sorted(set(views))}")
@@ -274,19 +284,18 @@ def _check_trained_views(run: Path, name: str, blob: bytes, views) -> None:
 
 def cmd_infer(args) -> int:
     dirs = _run_dirs(args.run)
-    init_nets = _load_init_nets(dirs["checkpoints"], args.views)
+    init_nets, digests = _load_init_nets(dirs["checkpoints"], args.views)
     primary_path = dirs["checkpoints"] / f"primary_d{args.depth}.pbrw"
-    if not primary_path.exists():
-        raise DataError(f"missing checkpoint {primary_path}")
-    primary_blob = primary_path.read_bytes()
-    _check_trained_views(args.run, primary_path.stem, primary_blob, args.views)
+    primary_blob = _read_checkpoint(primary_path)
+    digests["primary"] = checkpoint_digest(primary_blob)
+    _check_trained_views(args.run, primary_path.stem, digests["primary"], args.views)
+    # train=False forwards keep no state, so every worker can share one net
+    net = UNet.load(primary_blob)
     config = SweepConfig(args.depth, args.threshold, args.sweeps, args.inclusive)
     pairs = _load_pairs(args.data, args.ids, args.crop)
 
     def run_one(item):
         vid, v, _ = item
-        # worker-local net instances: training tapes must not be shared
-        net = UNet.load(primary_blob)
         result = infer_pbr(init_nets, net, v, config)
         write_pvol_file(dirs["volumes"] / f"pred_{vid}.pvol", result.mask)
         write_pvol_file(dirs["volumes"] / f"prob_{vid}.pvol",
@@ -304,9 +313,6 @@ def cmd_infer(args) -> int:
             for stage, seconds in timings:
                 f.write(json.dumps({"volume": vid, "stage": stage,
                                     "seconds": seconds}) + "\n")
-    digests = {"primary": checkpoint_digest(primary_blob)}
-    for view, net in init_nets.items():
-        digests[f"init_{view}"] = checkpoint_digest(net.save())
     _write_manifest(args.run, "infer", args, digests)
     return 0
 

@@ -71,7 +71,7 @@ class HybridStack:
                 chans.append(self.image[t])
             else:
                 chans.append(self.prob[min(max(t + off, 0), m - 1)])
-        return np.stack(chans).astype(np.float32)
+        return np.stack(chans, dtype=np.float32)
 
 
 def build_hybrid(v: Volume, p: ProbVolume, depth: int) -> HybridStack:

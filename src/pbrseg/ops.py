@@ -19,12 +19,21 @@ splitting them would change their sums: a single output channel (a
 matrix-vector product, whose summation order follows its row count), and
 one of at most ``SMALL_PRODUCT`` multiply-adds per image, which OpenBLAS
 would give to its small-matrix kernel while the batch's product takes the
-blocked one. Backward rebuilds the columns of the whole batch from the
-cached padded input: the weight gradient is one product with them, the
-input gradient one product batched over the kh*kw taps and folded back by
-kh*kw strided adds (col2im). The
+blocked one. The bias is added in place to that pixel-major product, so the
+output costs no pass beyond the product itself. Backward rebuilds the
+columns of the whole batch from the cached padded input: the weight gradient
+is one product with them, the input gradient one product batched over the
+kh*kw taps and folded back by kh*kw strided adds (col2im). The
 non-overlapping 2x2 stride-2 transposed convolution is one product batched
 over its four taps plus a reshape, both ways.
+
+Caches hold only what backward cannot get more cheaply. Max pooling takes
+the running max of the four stride-2 views and caches (input, pooled):
+no argmax runs forward, and backward finds each window's first cell, in
+row-major order, equal to the max, the cell argmax would pick. A relu caches
+its output, whose positive cells are the input's, so no mask is built; the
+U-Net applies it with ``relu_inplace`` on each conv's fresh output, and
+``activation`` writes a new array for any other caller.
 
 BLAS may pick its summation order by operand layout (always for a
 single-column product, otherwise for small ones). The weight gradient and a
@@ -96,11 +105,13 @@ def conv2d(x, weight, bias, stride=1, padding=1):
         y = np.dot(np.ascontiguousarray(_columns(xp, kh, kw, stride, oh, ow).T), wm.T)
     else:
         # one image's columns at a time, unless its product is a small one
-        groups = n if oh * ow * oc * wm.shape[1] > SMALL_PRODUCT else 1
+        step = 1 if oh * ow * oc * wm.shape[1] > SMALL_PRODUCT else n
         y = np.empty((n * oh * ow, oc), dtype=dtype)
-        for rows, part in zip(np.split(y, groups), np.split(xp, groups)):
-            np.dot(_columns(part, kh, kw, stride, oh, ow).T, wm.T, out=rows)
-    y = y.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2) + bias[None, :, None, None]
+        for i in range(0, n, step):
+            np.dot(_columns(xp[i:i + step], kh, kw, stride, oh, ow).T, wm.T,
+                   out=y[i * oh * ow:(i + step) * oh * ow])
+    y += bias
+    y = y.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2)
     # the padded input is a ninth of the columns, so it is what training keeps
     return y, (x.shape, xp.shape, xp, weight, stride, padding)
 
@@ -167,26 +178,32 @@ def transposed_conv2d_backward(gy, cache):
 
 
 def maxpool2x2(x):
-    """2x2 max pooling with stride 2; returns (pooled, argmax indices).
+    """2x2 max pooling with stride 2; returns (pooled, cache).
 
-    Ties route to the first element of the window in row-major order, so
-    gradients always land on exactly one cell per window.
+    The pooled values are the running max of the four stride-2 views, taken
+    in window order; the cache is (input, pooled).
     """
     _require_4d(x, "maxpool2x2 input")
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ConfigError(f"maxpool2x2 requires even spatial dims, got {h}x{w}")
-    win = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // 2, w // 2, 4)
-    idx = win.argmax(axis=4)
-    y = np.take_along_axis(win, idx[..., None], axis=4)[..., 0]
-    return y, idx
+    y = np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2])
+    np.maximum(y, x[:, :, 1::2, 0::2], out=y)
+    np.maximum(y, x[:, :, 1::2, 1::2], out=y)
+    return y, (x, y)
 
 
-def maxpool2x2_backward(gy, idx, input_shape):
-    n, c, h, w = input_shape
-    gwin = np.zeros((n, c, h // 2, w // 2, 4), dtype=gy.dtype)
-    np.put_along_axis(gwin, idx[..., None], gy[..., None], axis=4)
-    return gwin.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+def maxpool2x2_backward(gy, cache, input_shape):
+    """Route each window's gradient to the first of its cells, in row-major
+    order, that equals the pooled max, so ties land on exactly one cell."""
+    x, y = cache
+    gx = np.zeros(input_shape, dtype=gy.dtype)
+    free = np.ones(y.shape, dtype=bool)  # windows whose max cell is not yet found
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        hit = free & (x[:, :, i::2, j::2] == y)
+        np.copyto(gx[:, :, i::2, j::2], gy, where=hit)
+        free &= ~hit
+    return gx
 
 
 # ---------------------------------------------------------------------------
@@ -194,20 +211,27 @@ def maxpool2x2_backward(gy, idx, input_shape):
 
 
 def activation(x, kind):
-    """Elementwise relu or sigmoid; returns (output, cache)."""
+    """Elementwise relu or sigmoid into a new array; returns (output, cache)."""
     if kind == "relu":
-        return np.maximum(x, 0), ("relu", x > 0)
+        return relu_inplace(x.copy())
     if kind == "sigmoid":
         y = expit(x)
         return y, ("sigmoid", y)
     raise ConfigError(f"unknown activation kind '{kind}'")
 
 
+def relu_inplace(x):
+    """Relu written over x, which must be an array the caller owns (such as
+    a conv's fresh output); returns (x, cache) like ``activation``."""
+    np.maximum(x, 0, out=x)
+    return x, ("relu", x)
+
+
 def activation_backward(gy, cache):
-    kind, saved = cache
+    kind, y = cache
     if kind == "relu":
-        return gy * saved
-    return gy * saved * (1.0 - saved)
+        return gy * (y > 0)
+    return gy * y * (1.0 - y)
 
 
 # ---------------------------------------------------------------------------

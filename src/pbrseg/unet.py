@@ -130,14 +130,11 @@ class UNet:
         return y
 
     def _double_conv(self, block, x, tape):
-        x = self._conv(f"{block}.conv1", x, tape)
-        x, c = ops.activation(x, "relu")
-        if tape is not None:
-            tape[f"{block}.relu1"] = c
-        x = self._conv(f"{block}.conv2", x, tape)
-        x, c = ops.activation(x, "relu")
-        if tape is not None:
-            tape[f"{block}.relu2"] = c
+        for i in (1, 2):
+            # the conv's output is fresh, so relu may overwrite it
+            x, c = ops.relu_inplace(self._conv(f"{block}.conv{i}", x, tape))
+            if tape is not None:
+                tape[f"{block}.relu{i}"] = c
         return x
 
     def forward(self, x, train=False):
@@ -154,11 +151,9 @@ class UNet:
         for i in range(1, LEVELS + 1):
             a = self._double_conv(f"enc{i}", a, tape)
             skips.append(a)
+            a, cache = ops.maxpool2x2(a)
             if tape is not None:
-                tape[f"pool{i}.shape"] = a.shape
-            a, idx = ops.maxpool2x2(a)
-            if tape is not None:
-                tape[f"pool{i}.idx"] = idx
+                tape[f"pool{i}"] = cache
         a = self._double_conv("mid", a, tape)
         for i in range(LEVELS, 0, -1):
             a, cache = ops.transposed_conv2d(a, self.params[f"dec{i}.up.w"],
@@ -213,7 +208,7 @@ class UNet:
             grads[f"dec{i}.up.b"] = gb
         gy = self._double_conv_backward("mid", gy, tape, grads)
         for i in range(LEVELS, 0, -1):
-            gy = ops.maxpool2x2_backward(gy, tape[f"pool{i}.idx"], tape[f"pool{i}.shape"])
+            gy = ops.maxpool2x2_backward(gy, tape[f"pool{i}"], skip_grads[i - 1].shape)
             gy = gy + skip_grads[i - 1]
             gy = self._double_conv_backward(f"enc{i}", gy, tape, grads)
         self._tape = None
@@ -227,39 +222,51 @@ class UNet:
     @classmethod
     def from_checkpoint(cls, cp: Checkpoint) -> "UNet":
         config = UNetConfig(in_channels=cp.in_channels, base_width=cp.base_width)
-        net = build_unet(config)
-        if set(cp.params) != set(net.params):
-            missing = sorted(set(net.params) - set(cp.params))
-            extra = sorted(set(cp.params) - set(net.params))
+        shapes = param_shapes(config)
+        if set(cp.params) != set(shapes):
+            missing = sorted(set(shapes) - set(cp.params))
+            extra = sorted(set(cp.params) - set(shapes))
             raise SchemaError(f"checkpoint arrays do not match architecture "
                               f"(missing {missing[:4]}, extra {extra[:4]})")
         for name, arr in cp.params.items():
-            if arr.shape != net.params[name].shape:
+            if arr.shape != shapes[name]:
                 raise SchemaError(f"array '{name}' has shape {arr.shape}, "
-                                  f"expected {net.params[name].shape}")
-            net.params[name] = arr
-        return net
+                                  f"expected {shapes[name]}")
+        return cls(config, {name: cp.params[name] for name in shapes})
 
     @classmethod
     def load(cls, data: bytes) -> "UNet":
         return cls.from_checkpoint(load_checkpoint(data))
 
 
+def param_shapes(config: UNetConfig) -> dict:
+    """Name -> shape of every weight and bias, in architecture order: the
+    arrays ``build_unet`` fills and ``UNet.load`` requires."""
+    shapes = {}
+    for name, spec in architecture_specs(config):
+        if spec.kind == "conv":
+            shapes[f"{name}.w"] = (spec.out_channels, spec.in_channels, spec.kernel, spec.kernel)
+        elif spec.kind == "transposed-conv":
+            shapes[f"{name}.w"] = (spec.in_channels, spec.out_channels, spec.kernel, spec.kernel)
+        else:
+            continue
+        shapes[f"{name}.b"] = (spec.out_channels,)
+    return shapes
+
+
 def build_unet(config: UNetConfig, seed: int = 0, dtype=np.float32) -> UNet:
     """Instantiate a network with fan-in-scaled normal weights (seeded)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    specs = dict(architecture_specs(config))
     params: dict = {}
-    for name, spec in architecture_specs(config):
-        if spec.kind == "conv":
-            shape = (spec.out_channels, spec.in_channels, spec.kernel, spec.kernel)
-            fan_in = spec.in_channels * spec.kernel ** 2
-        elif spec.kind == "transposed-conv":
-            shape = (spec.in_channels, spec.out_channels, spec.kernel, spec.kernel)
-            # stride 2 means each output sees in_channels taps, not in*k*k
-            fan_in = spec.in_channels
-        else:
+    for name, shape in param_shapes(config).items():
+        layer, kind = name.rsplit(".", 1)
+        if kind == "b":
+            params[name] = np.zeros(shape, dtype=dtype)
             continue
+        spec = specs[layer]
+        # stride 2 means each output of a transposed conv sees in_channels taps, not in*k*k
+        fan_in = spec.in_channels * (spec.kernel ** 2 if spec.kind == "conv" else 1)
         std = np.sqrt(2.0 / fan_in)
-        params[f"{name}.w"] = (rng.standard_normal(shape) * std).astype(dtype)
-        params[f"{name}.b"] = np.zeros(spec.out_channels, dtype=dtype)
+        params[name] = (rng.standard_normal(shape) * std).astype(dtype)
     return UNet(config, params)

@@ -114,3 +114,19 @@ def test_unet_roundtrip_every_architecture(in_channels, base_width):
     assert set(net2.params) == set(net.params)
     for k in net.params:
         np.testing.assert_array_equal(net2.params[k], net.params[k])
+
+
+def _schema_error(params):
+    with pytest.raises(SchemaError) as e:
+        UNet.load(save_checkpoint(params, 1, 2))
+    return str(e.value)
+
+
+def test_unet_load_rejects_missing_extra_and_misshapen_arrays():
+    params = build_unet(UNetConfig(in_channels=1, base_width=2)).params
+    missing = {k: v for k, v in params.items() if k != "mid.conv1.b"}
+    assert "missing ['mid.conv1.b'], extra []" in _schema_error(missing)
+    assert "missing [], extra ['stray.w']" in _schema_error(
+        {**params, "stray.w": np.zeros((1, 1), np.float32)})
+    wrong = {**params, "dec2.up.w": np.zeros((4, 8, 2, 2), np.float32)}
+    assert "'dec2.up.w' has shape (4, 8, 2, 2), expected (8, 4, 2, 2)" in _schema_error(wrong)

@@ -419,6 +419,7 @@ class TestFullPipeline:
         infer_manifest = json.loads((run / "manifest_infer.json").read_text())
         primary = (run / "checkpoints" / "primary_d1.pbrw").read_bytes()
         assert infer_manifest["checkpoints"]["primary"] == hashlib.sha256(primary).hexdigest()
+        assert infer_manifest["checkpoints"]["init_axial"] == hashlib.sha256(blob).hexdigest()
 
     def test_eval_reports_exist(self, pipeline):
         _, run = pipeline

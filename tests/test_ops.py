@@ -65,10 +65,33 @@ def ref_transposed_conv2d_backward(gy, cache):
     return gx, gw, gy.sum(axis=(0, 2, 3))
 
 
+def ref_maxpool2x2(x):
+    # argmax over each window's four cells picks the first maximal one
+    n, c, h, w = x.shape
+    win = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
+        n, c, h // 2, w // 2, 4)
+    idx = win.argmax(axis=4)
+    return np.take_along_axis(win, idx[..., None], axis=4)[..., 0], idx
+
+
+def ref_maxpool2x2_backward(gy, idx, input_shape):
+    n, c, h, w = input_shape
+    gwin = np.zeros((n, c, h // 2, w // 2, 4), dtype=gy.dtype)
+    np.put_along_axis(gwin, idx[..., None], gy[..., None], axis=4)
+    return gwin.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+
+
+def ref_relu(x):
+    return np.maximum(x, 0), ("relu", x > 0)
+
+
 REF_OPS = types.SimpleNamespace(**{**vars(ops), "conv2d": ref_conv2d,
                                    "conv2d_backward": ref_conv2d_backward,
                                    "transposed_conv2d": ref_transposed_conv2d,
-                                   "transposed_conv2d_backward": ref_transposed_conv2d_backward})
+                                   "transposed_conv2d_backward": ref_transposed_conv2d_backward,
+                                   "maxpool2x2": ref_maxpool2x2,
+                                   "maxpool2x2_backward": ref_maxpool2x2_backward,
+                                   "relu_inplace": ref_relu})
 
 
 @pytest.mark.parametrize("in_channels,n,h,w,train", [(1, 1, 64, 64, True), (3, 1, 64, 64, True),
@@ -329,6 +352,19 @@ def test_maxpool_gradients_no_ties(rng):
     _, idx = ops.maxpool2x2(x)
     gx = ops.maxpool2x2_backward(r, idx, x.shape)
     check_grad(gx, f, x)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool_ties_match_argmax_reference(rng, dtype):
+    # few distinct values, so most windows hold a tie somewhere
+    x = rng.integers(0, 3, (2, 3, 8, 6)).astype(dtype)
+    x[0, 0, :2, :2] = [[-0.0, 0.0], [0.0, -0.0]]
+    gy = rng.standard_normal((2, 3, 4, 3)).astype(dtype)
+    y, cache = ops.maxpool2x2(x)
+    y_ref, idx = ref_maxpool2x2(x)
+    assert y.tobytes() == y_ref.tobytes()
+    gx = ops.maxpool2x2_backward(gy, cache, x.shape)
+    assert gx.tobytes() == ref_maxpool2x2_backward(gy, idx, x.shape).tobytes()
 
 
 def test_maxpool_rejects_odd_dims():

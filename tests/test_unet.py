@@ -112,6 +112,29 @@ def test_forward_deterministic(rng):
     np.testing.assert_array_equal(net.forward(x), net.forward(x.copy()))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_train_and_inference_forwards_agree_bitwise(rng, dtype):
+    # float64 follows the gradient checks, which cast weights and input alike
+    net = build_unet(UNetConfig(in_channels=3, base_width=8), seed=1)
+    net.params = {k: v.astype(dtype) for k, v in net.params.items()}
+    x = rng.standard_normal((1, 3, 32, 48)).astype(dtype)
+    y_train = net.forward(x, train=True)
+    y = net.forward(x)
+    assert y.dtype == y_train.dtype == dtype
+    assert y.tobytes() == y_train.tobytes()
+
+
+@pytest.mark.parametrize("train", [False, True])
+def test_forward_leaves_input_unchanged(rng, train):
+    net = build_unet(UNetConfig(in_channels=2, base_width=4), seed=0)
+    x = rng.standard_normal((2, 2, 16, 32)).astype(np.float32)
+    before = x.copy()
+    net.forward(x, train=train)
+    if train:
+        net.backward(np.ones((2, 1, 16, 32), dtype=np.float32))
+    assert x.tobytes() == before.tobytes()
+
+
 def test_init_statistics():
     # fan-in scaled normal: std of a big conv tensor near sqrt(2/fan_in)
     net = build_unet(UNetConfig(in_channels=1, base_width=16), seed=0)
