@@ -13,5 +13,4 @@ from .preprocess import augment, crop, preprocess
 from .pvol import (MaskVolume, ProbVolume, Volume, read_pvol, read_pvol_file,
                    write_pvol, write_pvol_file)
 from .unet import UNet, UNetConfig, architecture_specs, build_unet
-from .views import (ViewStack, estimate_initial, fuse_views, predict_view,
-                    slice_views)
+from .views import estimate_initial, fuse_views, view_slices

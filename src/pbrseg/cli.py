@@ -102,8 +102,7 @@ def _discover(data_dir: Path):
     if not data_dir.is_dir():
         raise DataError(f"data directory {data_dir} does not exist")
     out = []
-    masks = sorted(data_dir.glob("*_mask.pvol"))
-    for i, mp in enumerate(masks):
+    for mp in sorted(data_dir.glob("*_mask.pvol")):
         vp = mp.with_name(mp.name.replace("_mask.pvol", ".pvol"))
         if not vp.exists():
             raise DataError(f"mask {mp.name} has no matching volume file")
@@ -186,8 +185,6 @@ def _write_manifest(outdir: Path, command: str, args, digests: dict) -> None:
             v = str(v)
         elif isinstance(v, frozenset):
             v = sorted(v)
-        elif isinstance(v, tuple):
-            v = list(v)
         cfg[k] = v
     manifest = {"command": command, "version": __version__, "config": cfg,
                 "checkpoints": dict(sorted(digests.items())), "machine": _machine()}
@@ -372,10 +369,7 @@ def cmd_report(args) -> int:
     slice_reports = _read_slices_csv(reports / "slices.csv")
 
     fg_slices = [r for r in slice_reports if r.gt_pixels > 0]
-    hist = dsc_histogram(fg_slices)
-    hist_out = {"edges": [list(e) for e in hist["edges"]], "counts": hist["counts"],
-                "percent": hist["percent"], "total": hist["total"]}
-    _write_json(reports / "histogram.json", hist_out)
+    _write_json(reports / "histogram.json", dsc_histogram(fg_slices))
 
     curve = reliability_curve([float(r["dsc"]) for r in vol_rows])
     with open(reports / "reliability.csv", "w", newline="") as f:
@@ -390,8 +384,6 @@ def cmd_report(args) -> int:
     _write_json(reports / "agreement.json", vars(agreement))
 
     small = small_target_report(slice_reports, args.area_threshold, args.head_tail_n)
-    small["head_tail"]["slices"] = [list(s) for s in small["head_tail"]["slices"]]
-    small["small"]["slices"] = [list(s) for s in small["small"]["slices"]]
     _write_json(reports / "small_targets.json", small)
     _write_manifest(args.run, "report", args, {})
     return 0
@@ -418,12 +410,12 @@ def build_parser() -> tuple:
 
     p = sub.add_parser("phantom", help="generate a synthetic dataset")
     add(p, "--out", type=Path, required=True)
-    add(p, "--count", type=int, default=20)
+    add(p, "--count", type=_ranged(int, 0), default=20)
     add(p, "--seed", type=int, default=0)
     add(p, "--dims", type=_dims, default=(32, 64, 64))
     add(p, "--contrast", type=float, default=90.0)
     add(p, "--noise", type=float, default=18.0)
-    add(p, "--distractors", type=int, default=3)
+    add(p, "--distractors", type=_ranged(int, 0), default=3)
     add(p, "--min-radius", type=float, default=1.6)
     add(p, "--max-radius", type=float, default=12.0)
     add(p, "--taper", type=int, default=6)
@@ -481,8 +473,8 @@ def build_parser() -> tuple:
 
     p = sub.add_parser("report", help="histograms, reliability, agreement tables")
     add(p, "--run", type=Path, required=True)
-    add(p, "--area-threshold", type=int, default=300)
-    add(p, "--head-tail-n", type=int, default=3)
+    add(p, "--area-threshold", type=_ranged(int, 0), default=300)
+    add(p, "--head-tail-n", type=_ranged(int, 1), default=3)
     p.set_defaults(func=cmd_report)
     return parser, options
 

@@ -80,7 +80,7 @@ def build_hybrid(v: Volume, p: ProbVolume, depth: int) -> HybridStack:
         raise ConfigError(f"guidance depth must be >= 1, got {depth}")
     if v.dims != p.dims:
         raise ConfigError(f"volume/map dims differ: {v.dims} vs {p.dims}")
-    return HybridStack(v.data.astype(np.float32), p.data.astype(np.float32).copy(),
+    return HybridStack(v.data.astype(np.float32), p.data.astype(np.float32),
                        depth, v.spacing)
 
 
@@ -97,7 +97,7 @@ def _predict(net, sample: np.ndarray) -> np.ndarray:
     return np.asarray(net(sample), dtype=np.float32)
 
 
-def sweep(net, stack: HybridStack, direction: str, trace: list = None) -> ProbVolume:
+def sweep(net, stack: HybridStack, direction: str) -> ProbVolume:
     """One sequential refinement pass over all slices.
 
     `net` is either a trained network or any callable mapping a (2d+1,h,w)
@@ -113,8 +113,6 @@ def sweep(net, stack: HybridStack, direction: str, trace: list = None) -> ProbVo
     for t in order:
         new = _predict(net, stack.sample(t))
         stack.prob[t] = update_map(stack.prob[t], new)
-        if trace is not None:
-            trace.append(t)
     return ProbVolume(stack.prob.copy(), stack.spacing)
 
 

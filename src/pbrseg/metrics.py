@@ -167,6 +167,8 @@ def evaluate_slices(pred: MaskVolume, gt: MaskVolume, volume_id: str = "",
                     head_tail_n: int = 3) -> list:
     """Per-slice Dice along the stacking axis, head/tail slices flagged."""
     _check_dims(pred, gt)
+    if head_tail_n < 1:
+        raise ConfigError(f"head_tail_n must be >= 1, got {head_tail_n}")
     fg = [t for t in range(pred.dims[0]) if gt.data[t].any()]
     head_tail = set(fg[:head_tail_n]) | set(fg[-head_tail_n:]) if fg else set()
     out = []
@@ -259,6 +261,8 @@ def small_target_report(slice_reports, area_threshold: int = 300,
     """Dice statistics over the hard cohorts: the first/last n foreground
     slices of each volume, and slices whose reference area is at most
     area_threshold pixels. A slice with Dice 0 counts as failed."""
+    if head_tail_n < 1:
+        raise ConfigError(f"head_tail_n must be >= 1, got {head_tail_n}")
     by_volume = {}
     for r in slice_reports:
         by_volume.setdefault(r.volume_id, []).append(r)

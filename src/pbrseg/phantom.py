@@ -42,6 +42,8 @@ def _validate(spec: PhantomSpec) -> None:
         raise ConfigError(f"taper must be >= 1, got {spec.taper}")
     if spec.max_step <= 0 or spec.max_step > 1.0:
         raise ConfigError(f"max_step must be in (0, 1], got {spec.max_step}")
+    if spec.noise_std < 0:
+        raise ConfigError(f"noise_std must be >= 0, got {spec.noise_std}")
     # the centerline needs room to wander without the widest ellipse
     # leaving the slice
     max_semi = spec.max_radius * 1.25

@@ -14,7 +14,7 @@ from .optim import init_optimizer, optimizer_step
 from .preprocess import augment
 from .pvol import ProbVolume
 from .unet import UNet, UNetConfig, build_unet, pad_to_divisor
-from .views import VIEWS, estimate_initial, orient
+from .views import VIEWS, estimate_initial, view_slices
 
 ANNEAL = 0.5  # learning-rate factor after `patience` epochs without improvement
 
@@ -140,11 +140,8 @@ def _view_samples(dataset, view: str):
     """Oriented (1,h,w) slices with matching mask targets."""
     samples, targets = [], []
     for v, m in dataset:
-        img = orient(v.data, view).astype(np.float32, order="C")
-        msk = orient(m.data, view).astype(np.float32, order="C")
-        for t in range(img.shape[0]):
-            samples.append(img[t][None])
-            targets.append(msk[t])
+        samples += list(view_slices(v.data, view))
+        targets += list(view_slices(m.data, view)[:, 0])
     return samples, targets
 
 
@@ -154,10 +151,8 @@ def train_initial(dataset, view: str, schedule: TrainSchedule, seed: int,
     pairs; returns (net, epoch logs)."""
     if not dataset:
         raise DataError("empty dataset")
-    if view not in VIEWS:
-        raise ConfigError(f"unknown view {view!r}")
-    vi = VIEWS.index(view)
     samples, targets = _view_samples(dataset, view)
+    vi = VIEWS.index(view)
     net = build_unet(UNetConfig(in_channels=1, base_width=base_width),
                      seed=_subseed(seed, 10, vi))
     logs = fit(net, samples, targets, schedule, _subseed(seed, 11, vi))

@@ -75,7 +75,7 @@ class TestExitCodes:
         assert main(["infer", "--data", str(tmp_path), "--run", str(tmp_path / "run"),
                      "--ids", "3-1"]) == 1
 
-    def test_out_of_range_numbers(self, tmp_path, capsys):
+    def test_out_of_range_numbers(self, tmp_path, capsys, fabricated_run):
         data, run = _untrained_run(tmp_path)
         where = ["--data", str(data), "--run", str(run)]
         no_epochs = ["--base-width", "2", "--sgd-epochs", "0", "--adam-epochs", "0"]
@@ -88,6 +88,18 @@ class TestExitCodes:
             assert main([*argv, *where]) == 1, argv
             assert argv[-2] in capsys.readouterr().err
         assert not (run / "volumes" / "pred_phantom_000.pvol").exists()
+        out = ["--out", str(tmp_path / "phantoms")]
+        scored = ["--run", str(fabricated_run[1])]
+        for argv in (["phantom", *out, "--count", "-2"],
+                     ["phantom", *out, "--count", "1", "--distractors", "-1"],
+                     ["report", *scored, "--head-tail-n", "0"],
+                     ["report", *scored, "--head-tail-n", "-1"],
+                     ["report", *scored, "--area-threshold", "-1"]):
+            assert main(argv) == 1, argv
+            assert argv[-2] in capsys.readouterr().err
+        assert main(["phantom", *out, "--count", "1", "--noise", "-1"]) == 1
+        assert "noise_std" in capsys.readouterr().err
+        assert not list(tmp_path.glob("phantoms/*"))
 
     def test_views_differ_from_training(self, tmp_path, capsys):
         data, run = _untrained_run(tmp_path)

@@ -166,17 +166,19 @@ class TestSweep:
         # sample at t=2 carries prob[1] updated to 0.5
         np.testing.assert_allclose(net.seen[2][0], 0.5, atol=1e-6)
 
+    @staticmethod
+    def _visits(direction):
+        """Slices in the order the sweep sampled them: the image of `_stack`
+        is an arange, so a sample's centre channel names its slice."""
+        net = _ConstNet(0.5)
+        sweep(net, _stack(m=4), direction)
+        return [int(s[1, 0, 0]) // 16 for s in net.seen]
+
     def test_backward_visit_order(self):
-        st = _stack(m=4)
-        trace = []
-        sweep(_ConstNet(0.5), st, "backward", trace=trace)
-        assert trace == [3, 2, 1, 0]
+        assert self._visits("backward") == [3, 2, 1, 0]
 
     def test_forward_visit_order(self):
-        st = _stack(m=4)
-        trace = []
-        sweep(_ConstNet(0.5), st, "forward", trace=trace)
-        assert trace == [0, 1, 2, 3]
+        assert self._visits("forward") == [0, 1, 2, 3]
 
     def test_direction_validation(self):
         with pytest.raises(ConfigError):

@@ -223,6 +223,12 @@ class TestSliceReports:
         reports = evaluate_slices(_mask(gt), _mask(gt), head_tail_n=3)
         assert [r.is_head_or_tail for r in reports] == [False, True, False, False]
 
+    def test_head_tail_n_below_one_rejected(self):
+        pred, gt = self._volumes()
+        for n in (0, -1):
+            with pytest.raises(ConfigError):
+                evaluate_slices(pred, gt, head_tail_n=n)
+
 
 class TestHistogram:
     def test_partition_and_boundaries(self):
@@ -368,6 +374,12 @@ class TestSmallTargets:
         reports = [SliceReport("v", 3, 0.7, 40, True)]
         rep = small_target_report(reports, head_tail_n=3)
         assert rep["head_tail"]["count"] == 1
+
+    def test_head_tail_n_below_one_rejected(self):
+        """fg[-0:] is every slice, so n = 0 must not mean "all of them"."""
+        for n in (0, -2):
+            with pytest.raises(ConfigError):
+                small_target_report(self._reports(), head_tail_n=n)
 
     def test_empty_cohorts(self):
         rep = small_target_report([], area_threshold=100)

@@ -106,6 +106,8 @@ def test_bad_config():
         gen_phantom(PhantomSpec(max_step=0.0))
     with pytest.raises(ConfigError):
         gen_phantom(PhantomSpec(taper=0))
+    with pytest.raises(ConfigError):
+        gen_phantom(PhantomSpec(noise_std=-1.0))
 
 
 def test_dataset_decorrelated_and_reproducible():

@@ -7,8 +7,8 @@ from pbrseg import parallel
 from pbrseg.errors import ConfigError
 from pbrseg.pvol import ProbVolume, Volume
 from pbrseg.unet import UNetConfig, build_unet
-from pbrseg.views import (VIEWS, estimate_initial, fuse_views, orient,
-                          predict_view, slice_views, unorient)
+from pbrseg.views import (VIEWS, estimate_initial, fuse_views, orient, unorient,
+                          view_slices)
 
 
 class _StubNet:
@@ -56,54 +56,52 @@ def test_orient_voxel_correspondence(rng):
     assert orient(data, "sagittal")[x, z, y] == data[z, y, x]
 
 
-def test_slice_views_padding(rng):
-    v = Volume(rng.standard_normal((32, 64, 48)).astype(np.float32))
-    stacks = slice_views(v)
-    ax = stacks["axial"]
-    assert ax.slices.shape == (32, 1, 64, 48)
-    co = stacks["coronal"]
-    assert co.slices.shape == (64, 1, 32, 48)
-    sa = stacks["sagittal"]
+def test_view_slices_shapes(rng):
+    data = rng.standard_normal((32, 64, 48))
+    ax = view_slices(data, "axial")
+    assert ax.shape == (32, 1, 64, 48)
+    co = view_slices(data, "coronal")
+    assert co.shape == (64, 1, 32, 48)
+    sa = view_slices(data, "sagittal")
     # 32x64 planes sliced by x; both in-plane dims already divisible
-    assert sa.slices.shape == (48, 1, 32, 64)
+    assert sa.shape == (48, 1, 32, 64)
+    for s, view in ((ax, "axial"), (co, "coronal"), (sa, "sagittal")):
+        assert s.dtype == np.float32 and s.flags.c_contiguous
+        np.testing.assert_array_equal(s[:, 0], orient(data, view).astype(np.float32))
 
 
-def test_predict_view_unpads_and_unorients(rng):
+def test_estimate_initial_unpads_and_unorients(rng):
     """An identity net must reproduce the volume exactly through the
     slice / pad / unpad / reassemble pipeline, for every view."""
     data = rng.uniform(0.1, 0.9, size=(6, 30, 17)).astype(np.float32)
     v = Volume(data)
     for view in VIEWS:
-        st = slice_views(v, views=(view,))[view]
-        p = predict_view(_EchoNet(), st, batch=4)
+        p = estimate_initial({view: _EchoNet()}, v)
         assert isinstance(p, ProbVolume)
         np.testing.assert_allclose(p.data, data, atol=1e-7)
 
 
-def test_predict_view_constant_net(rng):
+def test_estimate_initial_constant_net(rng):
     v = Volume(rng.standard_normal((4, 32, 32)).astype(np.float32))
-    st = slice_views(v, views=("coronal",))["coronal"]
-    p = predict_view(_StubNet(0.25), st)
+    p = estimate_initial({"coronal": _StubNet(0.25)}, v)
     assert p.dims == (4, 32, 32)
     np.testing.assert_array_equal(p.data, np.full((4, 32, 32), 0.25, dtype=np.float32))
 
 
-def test_predict_view_batches(rng, monkeypatch):
+def test_estimate_initial_batches(rng, monkeypatch):
     monkeypatch.setattr(parallel, "cores", lambda: 1)  # the stub records call order
     v = Volume(rng.standard_normal((10, 16, 16)).astype(np.float32))
-    st = slice_views(v, views=("axial",))["axial"]
     net = _StubNet()
-    predict_view(net, st, batch=4)
-    assert [s[0] for s in net.calls] == [4, 4, 2]
+    estimate_initial({"axial": net}, v)
+    assert [s[0] for s in net.calls] == [8, 2]
 
 
-def test_predict_view_rejects_multichannel_net(rng):
+def test_estimate_initial_rejects_multichannel_net(rng):
     net = _StubNet()
     net.in_channels = 3
     v = Volume(np.zeros((2, 16, 16), dtype=np.float32))
-    st = slice_views(v, views=("axial",))["axial"]
     with pytest.raises(ConfigError):
-        predict_view(net, st)
+        estimate_initial({"axial": net}, v)
 
 
 def test_fuse_views_mean():
@@ -166,6 +164,5 @@ def test_estimate_initial_no_views():
 
 
 def test_unknown_view_rejected():
-    v = Volume(np.zeros((2, 16, 16), dtype=np.float32))
     with pytest.raises(ConfigError):
-        slice_views(v, views=("diagonal",))
+        view_slices(np.zeros((2, 16, 16), dtype=np.float32), "diagonal")
