@@ -24,7 +24,7 @@ from .metrics import (SliceReport, dsc_histogram, evaluate_slices, evaluate_volu
                       write_volume_csv)
 from .phantom import PhantomSpec, gen_phantom
 from .preprocess import crop, crop_box, preprocess
-from .pvol import MaskVolume, Volume, read_pvol_file, write_pvol_file
+from .pvol import MaskVolume, read_pvol_file, write_pvol_file
 from .training import Phase, TrainSchedule, train_initial, train_primary, write_train_log
 from .unet import UNet
 from .views import VIEWS
@@ -286,24 +286,23 @@ def cmd_infer(args) -> int:
     primary_blob = _read_checkpoint(primary_path)
     digests["primary"] = checkpoint_digest(primary_blob)
     _check_trained_views(args.run, primary_path.stem, digests["primary"], args.views)
-    # train=False forwards keep no state, so every worker can share one net
+    # train=False forwards keep no state, so every pool thread can share one net
     net = UNet.load(primary_blob)
-    config = SweepConfig(args.depth, args.threshold, args.sweeps, args.inclusive)
+    config = SweepConfig(args.depth, args.threshold, args.sweeps)
     pairs = _load_pairs(args.data, args.ids, args.crop)
 
     def run_one(item):
         vid, v, _ = item
         result = infer_pbr(init_nets, net, v, config)
         write_pvol_file(dirs["volumes"] / f"pred_{vid}.pvol", result.mask)
-        write_pvol_file(dirs["volumes"] / f"prob_{vid}.pvol",
-                        Volume(result.prob.data, result.prob.spacing))
-        write_pvol_file(dirs["volumes"] / f"prob_init_{vid}.pvol",
-                        Volume(result.initial.data, result.initial.spacing))
+        write_pvol_file(dirs["volumes"] / f"prob_{vid}.pvol", result.prob)
+        write_pvol_file(dirs["volumes"] / f"prob_init_{vid}.pvol", result.initial)
         write_pvol_file(dirs["volumes"] / f"pred_init_{vid}.pvol",
-                        binarize(result.initial, args.threshold, args.inclusive))
+                        binarize(result.initial, args.threshold))
         return vid, result.timings
 
-    results = parallel.run(run_one, pairs, args.workers)
+    # one volume per core; a lone volume runs here, its estimate on every core
+    results = parallel.run(run_one, pairs)
 
     with open(dirs["volumes"] / "timing.jsonl", "w") as f:
         for vid, timings in sorted(results):
@@ -363,8 +362,10 @@ def _read_slices_csv(path: Path):
 
 
 def cmd_report(args) -> int:
-    dirs = _run_dirs(args.run)
-    reports = dirs["reports"]
+    reports = Path(args.run) / "reports"
+    for name in ("volumes.csv", "slices.csv", "volumes_mm3.json"):
+        if not (reports / name).exists():
+            raise DataError(f"missing {reports / name}: run eval first")
     vol_rows = _read_volumes_csv(reports / "volumes.csv")
     slice_reports = _read_slices_csv(reports / "slices.csv")
 
@@ -460,9 +461,6 @@ def build_parser() -> tuple:
     add(p, "--depth", type=int, default=1, choices=(1, 2, 3))
     add(p, "--threshold", type=float, default=0.5)
     add(p, "--sweeps", choices=("both", "forward"), default="both")
-    add(p, "--inclusive", action="store_true",
-        help="count probability == threshold as foreground")
-    add(p, "--workers", type=_ranged(int, 1), default=1)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("eval", help="score predictions against ground truth")

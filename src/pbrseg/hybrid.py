@@ -28,7 +28,6 @@ class SweepConfig:
     depth: int = 1
     threshold: float = 0.5
     sweeps: str = "both"  # "both" or "forward"
-    inclusive: bool = False  # ties at the threshold count as foreground
 
     def __post_init__(self):
         if self.depth not in (1, 2, 3):
@@ -116,15 +115,11 @@ def sweep(net, stack: HybridStack, direction: str) -> ProbVolume:
     return ProbVolume(stack.prob.copy(), stack.spacing)
 
 
-def binarize(p: ProbVolume, threshold: float = 0.5, inclusive: bool = False) -> MaskVolume:
-    """Threshold a probability volume; ties go to background by default."""
+def binarize(p: ProbVolume, threshold: float = 0.5) -> MaskVolume:
+    """Threshold a probability volume; ties go to background."""
     if not 0.0 < threshold < 1.0:
         raise ConfigError(f"threshold must be in (0, 1), got {threshold}")
-    if inclusive:
-        mask = p.data >= threshold
-    else:
-        mask = p.data > threshold
-    return MaskVolume(mask.astype(np.uint8), p.spacing)
+    return MaskVolume((p.data > threshold).astype(np.uint8), p.spacing)
 
 
 @dataclass
@@ -161,6 +156,6 @@ def infer_pbr(init_nets: dict, primary_net, v: Volume,
         timings.append(("backward", time.perf_counter() - t0))
 
     t0 = time.perf_counter()
-    mask = binarize(prob, config.threshold, config.inclusive)
+    mask = binarize(prob, config.threshold)
     timings.append(("binarize", time.perf_counter() - t0))
     return InferResult(mask, prob, initial, timings)

@@ -6,11 +6,11 @@ inside every product, so it is pinned to one thread while a pool runs and
 restored afterwards, through the thread-count calls the library exports.
 There is one BLAS pool per process, so the pin is counted across threads:
 the first section to enter saves the pool size and the last to leave
-restores it, also when a job raised. A job that calls ``run`` itself (a
-view estimate inside an ``infer --workers`` volume) runs its jobs on its own
-thread, so pools never nest. Where BLAS cannot be pinned, ``threads()`` is
-1 and the jobs run serially. Results come back in job order, so they do not
-depend on the number of threads.
+restores it, also when a job raised. ``infer`` runs its volumes on the
+pool; a job that calls ``run`` itself (the view estimate of such a volume)
+runs its jobs on its own thread, so pools never nest. Where BLAS cannot be
+pinned, ``threads()`` is 1 and the jobs run serially. Results come back in
+job order, so they do not depend on the number of threads.
 """
 
 from __future__ import annotations
@@ -93,12 +93,12 @@ def _mark_pool_thread():
     _in_pool.active = True
 
 
-def run(fn, jobs, workers=None) -> list:
-    """``[fn(job) for job in jobs]`` on ``workers`` threads (default
-    ``threads()``) with BLAS pinned; on the calling thread when one thread
-    is enough or the caller is itself a job of a pool."""
+def run(fn, jobs) -> list:
+    """``[fn(job) for job in jobs]`` on ``min(threads(), len(jobs))``
+    threads with BLAS pinned; on the calling thread when one thread is
+    enough or the caller is itself a job of a pool."""
     jobs = list(jobs)
-    workers = min(threads() if workers is None else workers, len(jobs))
+    workers = min(threads(), len(jobs))
     if workers <= 1 or getattr(_in_pool, "active", False):
         return [fn(job) for job in jobs]
     with pinned_blas(), ThreadPoolExecutor(workers, initializer=_mark_pool_thread) as pool:

@@ -5,11 +5,13 @@ import argparse
 import csv
 import hashlib
 import json
+import shutil
+import threading
 
 import numpy as np
 import pytest
 
-from pbrseg import parallel
+from pbrseg import cli, parallel
 from pbrseg.cli import _ids, main
 from pbrseg.metrics import (dsc_histogram, evaluate_slices, reliability_curve,
                             small_target_report, volume_agreement, volume_mm3)
@@ -44,6 +46,11 @@ class TestExitCodes:
 
     def test_unknown_flag(self, tmp_path, capsys):
         assert main(["phantom", "--out", str(tmp_path), "--bogus"]) == 1
+        data, run = _untrained_run(tmp_path)
+        for flags in (["--workers", "2"], ["--inclusive"]):
+            assert main(["infer", "--data", str(data), "--run", str(run), *flags]) == 1
+            assert flags[0] in capsys.readouterr().err
+        assert not (run / "volumes" / "pred_phantom_000.pvol").exists()
 
     def test_bad_dims_string(self, tmp_path, capsys):
         assert main(["phantom", "--out", str(tmp_path), "--dims", "4x4"]) == 1
@@ -82,9 +89,7 @@ class TestExitCodes:
         for argv in (["train-init", *no_epochs, "--val-fraction", "-0.5"],
                      ["train-init", "--base-width", "2", "--adam-epochs", "0",
                       "--sgd-epochs", "-1"],
-                     ["train-primary", "--base-width", "2", "--epochs", "-2"],
-                     ["infer", "--workers", "0"],
-                     ["infer", "--workers", "-3"]):
+                     ["train-primary", "--base-width", "2", "--epochs", "-2"]):
             assert main([*argv, *where]) == 1, argv
             assert argv[-2] in capsys.readouterr().err
         assert not (run / "volumes" / "pred_phantom_000.pvol").exists()
@@ -100,6 +105,20 @@ class TestExitCodes:
         assert main(["phantom", *out, "--count", "1", "--noise", "-1"]) == 1
         assert "noise_std" in capsys.readouterr().err
         assert not list(tmp_path.glob("phantoms/*"))
+
+    def test_report_before_eval(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        assert main(["report", "--run", str(run)]) == 2
+        assert "volumes.csv: run eval first" in capsys.readouterr().err
+        assert list(run.iterdir()) == []
+        (run / "reports").mkdir()
+        for name in ("volumes.csv", "slices.csv", "volumes_mm3.json"):
+            assert main(["report", "--run", str(run)]) == 2
+            assert f"{name}: run eval first" in capsys.readouterr().err
+            (run / "reports" / name).write_text("")
+        assert sorted(p.name for p in run.rglob("*")) == [
+            "reports", "slices.csv", "volumes.csv", "volumes_mm3.json"]
 
     def test_views_differ_from_training(self, tmp_path, capsys):
         data, run = _untrained_run(tmp_path)
@@ -141,6 +160,12 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("holes=7\n")
         assert main(["--config", str(cfg), "phantom", "--out", str(tmp_path)]) == 1
+        data, run = _untrained_run(tmp_path)
+        cfg.write_text("workers = 2\n")
+        assert main(["--config", str(cfg), "infer", "--data", str(data),
+                     "--run", str(run)]) == 1
+        assert "'workers'" in capsys.readouterr().err
+        assert not (run / "volumes" / "pred_phantom_000.pvol").exists()
 
     def test_bad_value(self, tmp_path, capsys):
         data, run = _untrained_run(tmp_path)
@@ -440,14 +465,33 @@ class TestFullPipeline:
                      "agreement.json", "small_targets.json"):
             assert (run / "reports" / name).exists(), name
 
-    def test_parallel_workers_bit_identical(self, pipeline):
+    def test_volumes_on_pool_threads_bit_identical(self, pipeline, tmp_path, monkeypatch):
+        if parallel._openblas() is None:
+            pytest.skip("BLAS cannot be pinned, so every command runs serially")
         data, run = pipeline
+        run = shutil.copytree(run, tmp_path / "run")
         common = ["--data", str(data), "--run", str(run), "--seed", "1"]
-        first = (run / "volumes" / "pred_phantom_002.pvol").read_bytes()
-        prob_first = (run / "volumes" / "prob_phantom_002.pvol").read_bytes()
-        assert main(["infer", *common, "--ids", "1-2", "--workers", "2"]) == 0
-        assert (run / "volumes" / "pred_phantom_002.pvol").read_bytes() == first
-        assert (run / "volumes" / "prob_phantom_002.pvol").read_bytes() == prob_first
+        names = [f"{stem}_phantom_00{i}.pvol"
+                 for stem in ("pred", "prob", "pred_init", "prob_init") for i in (1, 2)]
+        for i in (1, 2):
+            assert main(["infer", *common, "--ids", str(i)]) == 0
+        alone = {name: (run / "volumes" / name).read_bytes() for name in names}
+
+        monkeypatch.setattr(parallel, "cores", lambda: 2)
+        seen, infer_pbr = [], cli.infer_pbr
+
+        def spy(*a, **kw):
+            seen.append((threading.get_ident(), getattr(parallel._in_pool, "active", False)))
+            return infer_pbr(*a, **kw)
+
+        monkeypatch.setattr(cli, "infer_pbr", spy)
+        for name in names:
+            (run / "volumes" / name).unlink()
+        assert main(["infer", *common, "--ids", "1-2"]) == 0
+        assert len(seen) == 2
+        assert all(in_pool and ident != threading.get_ident() for ident, in_pool in seen)
+        for name in names:
+            assert (run / "volumes" / name).read_bytes() == alone[name], name
 
     def test_eval_missing_predictions(self, pipeline):
         data, run = pipeline

@@ -33,7 +33,7 @@ class _ConstNet:
 class TestSweepConfig:
     def test_defaults(self):
         c = SweepConfig()
-        assert (c.depth, c.threshold, c.sweeps, c.inclusive) == (1, 0.5, "both", False)
+        assert (c.depth, c.threshold, c.sweeps) == (1, 0.5, "both")
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -220,11 +220,6 @@ class TestBinarize:
         p = ProbVolume(np.array([[[0.49, 0.5, 0.51]]], dtype=np.float32))
         m = binarize(p, 0.5)
         np.testing.assert_array_equal(m.data, [[[0, 0, 1]]])
-
-    def test_inclusive_tie_is_foreground(self):
-        p = ProbVolume(np.array([[[0.49, 0.5, 0.51]]], dtype=np.float32))
-        m = binarize(p, 0.5, inclusive=True)
-        np.testing.assert_array_equal(m.data, [[[0, 1, 1]]])
 
     def test_monotone_in_threshold(self, rng):
         p = ProbVolume(rng.uniform(size=(3, 8, 8)).astype(np.float32))
