@@ -152,12 +152,12 @@ def _load_masks(data_dir, ids=None, crop_hw=None):
     return masks
 
 
-def _run_dirs(run: Path):
-    run = Path(run)
-    dirs = {k: run / k for k in ("checkpoints", "volumes", "reports")}
-    for d in dirs.values():
-        d.mkdir(parents=True, exist_ok=True)
-    return dirs
+def _run_dir(run: Path, name: str) -> Path:
+    """``run/name``, created with its parents: called only once a command's
+    inputs have loaded, so a failing command leaves no empty directories."""
+    path = Path(run) / name
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _write_json(path: Path, obj) -> None:
@@ -227,39 +227,41 @@ def cmd_phantom(args) -> int:
 
 
 def cmd_train_init(args) -> int:
-    dirs = _run_dirs(args.run)
     pairs = _load_pairs(args.data, args.ids, args.crop)
     dataset = [(v, m) for _, v, m in pairs]
     schedule = TrainSchedule((Phase("sgd", args.sgd_lr, args.sgd_epochs),
                               Phase("adam", args.adam_lr, args.adam_epochs)),
                              args.val_fraction, args.patience, args.augment)
+    # one view per core: each view's net is seeded apart, so no bit depends on the pool
+    trained = parallel.run(
+        lambda view: train_initial(dataset, view, schedule, args.seed, args.base_width),
+        args.views)
+    ckpt_dir, report_dir = _run_dir(args.run, "checkpoints"), _run_dir(args.run, "reports")
     digests = {}
-    for view in args.views:
-        net, logs = train_initial(dataset, view, schedule, args.seed, args.base_width)
+    for view, (net, logs) in zip(args.views, trained):
         blob = net.save()
-        (dirs["checkpoints"] / f"init_{view}.pbrw").write_bytes(blob)
+        (ckpt_dir / f"init_{view}.pbrw").write_bytes(blob)
         digests[f"init_{view}"] = checkpoint_digest(blob)
-        write_train_log(logs, dirs["reports"] / f"train_init_{view}.csv")
+        write_train_log(logs, report_dir / f"train_init_{view}.csv")
     _write_manifest(args.run, "train-init", args, digests)
     return 0
 
 
 def cmd_train_primary(args) -> int:
-    dirs = _run_dirs(args.run)
     pairs = _load_pairs(args.data, args.ids, args.crop)
     dataset = [(v, m) for _, v, m in pairs]
     init_nets = {}
     if not args.teacher_forced:
-        init_nets, _ = _load_init_nets(dirs["checkpoints"], args.views)
+        init_nets, _ = _load_init_nets(Path(args.run) / "checkpoints", args.views)
     schedule = TrainSchedule((Phase("adam", args.lr, args.epochs),),
                              args.val_fraction, args.patience, args.augment)
     net, logs = train_primary(dataset, init_nets, args.depth, schedule, args.seed,
                               teacher_forced=args.teacher_forced,
                               base_width=args.base_width)
     blob = net.save()
-    path = dirs["checkpoints"] / f"primary_d{args.depth}.pbrw"
+    path = _run_dir(args.run, "checkpoints") / f"primary_d{args.depth}.pbrw"
     path.write_bytes(blob)
-    write_train_log(logs, dirs["reports"] / "train_primary.csv")
+    write_train_log(logs, _run_dir(args.run, "reports") / "train_primary.csv")
     _write_manifest(args.run, "train-primary", args,
                     {path.stem: checkpoint_digest(blob)})
     return 0
@@ -280,9 +282,9 @@ def _check_trained_views(run: Path, name: str, digest: str, views) -> None:
 
 
 def cmd_infer(args) -> int:
-    dirs = _run_dirs(args.run)
-    init_nets, digests = _load_init_nets(dirs["checkpoints"], args.views)
-    primary_path = dirs["checkpoints"] / f"primary_d{args.depth}.pbrw"
+    ckpt_dir = Path(args.run) / "checkpoints"
+    init_nets, digests = _load_init_nets(ckpt_dir, args.views)
+    primary_path = ckpt_dir / f"primary_d{args.depth}.pbrw"
     primary_blob = _read_checkpoint(primary_path)
     digests["primary"] = checkpoint_digest(primary_blob)
     _check_trained_views(args.run, primary_path.stem, digests["primary"], args.views)
@@ -290,21 +292,21 @@ def cmd_infer(args) -> int:
     net = UNet.load(primary_blob)
     config = SweepConfig(args.depth, args.threshold, args.sweeps)
     pairs = _load_pairs(args.data, args.ids, args.crop)
+    out = _run_dir(args.run, "volumes")
 
     def run_one(item):
         vid, v, _ = item
         result = infer_pbr(init_nets, net, v, config)
-        write_pvol_file(dirs["volumes"] / f"pred_{vid}.pvol", result.mask)
-        write_pvol_file(dirs["volumes"] / f"prob_{vid}.pvol", result.prob)
-        write_pvol_file(dirs["volumes"] / f"prob_init_{vid}.pvol", result.initial)
-        write_pvol_file(dirs["volumes"] / f"pred_init_{vid}.pvol",
-                        binarize(result.initial, args.threshold))
+        write_pvol_file(out / f"pred_{vid}.pvol", result.mask)
+        write_pvol_file(out / f"prob_{vid}.pvol", result.prob)
+        write_pvol_file(out / f"prob_init_{vid}.pvol", result.initial)
+        write_pvol_file(out / f"pred_init_{vid}.pvol", binarize(result.initial, args.threshold))
         return vid, result.timings
 
     # one volume per core; a lone volume runs here, its estimate on every core
     results = parallel.run(run_one, pairs)
 
-    with open(dirs["volumes"] / "timing.jsonl", "w") as f:
+    with open(out / "timing.jsonl", "w") as f:
         for vid, timings in sorted(results):
             for stage, seconds in timings:
                 f.write(json.dumps({"volume": vid, "stage": stage,
@@ -331,17 +333,19 @@ def _eval_set(masks, pred_dir: Path, prefix: str):
 
 
 def cmd_eval(args) -> int:
-    dirs = _run_dirs(args.run)
-    pred_dir = Path(args.pred) if args.pred else dirs["volumes"]
+    pred_dir = Path(args.pred) if args.pred else Path(args.run) / "volumes"
     masks = _load_masks(args.data, args.ids, args.crop)
+    scored = []  # every prediction is read before reports/ is created
     for prefix, tag in (("pred_", ""), ("pred_init_", "_init")):
         if tag and not any((pred_dir / f"{prefix}{vid}.pvol").exists() for vid, _ in masks):
             continue
-        vols, slices, mm3 = _eval_set(masks, pred_dir, prefix)
-        write_volume_csv(vols, dirs["reports"] / f"volumes{tag}.csv")
-        write_slice_csv(slices, dirs["reports"] / f"slices{tag}.csv")
-        _write_json(dirs["reports"] / f"summary{tag}.json", summarize(vols))
-        _write_json(dirs["reports"] / f"volumes_mm3{tag}.json", mm3)
+        scored.append((tag, _eval_set(masks, pred_dir, prefix)))
+    out = _run_dir(args.run, "reports")
+    for tag, (vols, slices, mm3) in scored:
+        write_volume_csv(vols, out / f"volumes{tag}.csv")
+        write_slice_csv(slices, out / f"slices{tag}.csv")
+        _write_json(out / f"summary{tag}.json", summarize(vols))
+        _write_json(out / f"volumes_mm3{tag}.json", mm3)
     _write_manifest(args.run, "eval", args, {})
     return 0
 

@@ -23,9 +23,11 @@ blocked one. The bias is added in place to that pixel-major product, so the
 output costs no pass beyond the product itself. Backward rebuilds the
 columns of the whole batch from the cached padded input: the weight gradient
 is one product with them, the input gradient one product batched over the
-kh*kw taps and folded back by kh*kw strided adds (col2im). The
-non-overlapping 2x2 stride-2 transposed convolution is one product batched
-over its four taps plus a reshape, both ways.
+kh*kw taps, folded back by kh*kw adds (col2im) into a channel-last
+(n, hp, wp, c) buffer, where each tap's slice is a contiguous read, and
+copied once into the NCHW padded gradient whose interior view it returns.
+The non-overlapping 2x2 stride-2 transposed convolution is one product
+batched over its four taps plus a reshape, both ways.
 
 Caches hold only what backward cannot get more cheaply. Max pooling takes
 the running max of the four stride-2 views and caches (input, pooled):
@@ -36,13 +38,16 @@ U-Net applies it with ``relu_inplace`` on each conv's fresh output, and
 ``activation`` writes a new array for any other caller.
 
 BLAS may pick its summation order by operand layout (always for a
-single-column product, otherwise for small ones). The weight gradient and a
-single output channel therefore take pixel-major rows, and the tap products
-per-tap weight slices, as the tap-by-tap reference in ``tests/test_ops.py``
-does; on OpenBLAS the kernels equal that reference bit for bit at every
-layer of the width-8 net, so trained weights do not depend on which of the
-two computed them. Narrower nets have products small enough for the
-transposed columns of the forward product to change the last bits.
+single-column product, otherwise for small ones). A single output channel
+therefore takes pixel-major rows, forward and backward, and so does a
+weight gradient of at most ``SMALL_PRODUCT`` multiply-adds; a larger one
+reads the column buffer through its transposed view, with no transposing
+copy. The tap products take per-tap weight slices, as the tap-by-tap
+reference in ``tests/test_ops.py`` does; on OpenBLAS the kernels equal that
+reference bit for bit at every layer of the width-8 net, so trained weights
+do not depend on which of the two computed them. Narrower nets have products
+small enough for the transposed columns of the forward product to change
+the last bits.
 """
 
 from __future__ import annotations
@@ -123,15 +128,20 @@ def conv2d_backward(gy, cache):
     oc, _, kh, kw = weight.shape
     oh, ow = gy.shape[2], gy.shape[3]
     gb = gy.sum(axis=(0, 2, 3))
-    rows = np.ascontiguousarray(_columns(xp, kh, kw, stride, oh, ow).T)  # pixel-major
-    gw = np.dot(gy.transpose(1, 0, 2, 3).reshape(oc, -1), rows).reshape(weight.shape)
+    gym = gy.transpose(1, 0, 2, 3).reshape(oc, -1)
+    rows = _columns(xp, kh, kw, stride, oh, ow).T  # pixel-major view of the columns
+    if oc == 1 or gym.size * rows.shape[1] <= SMALL_PRODUCT:  # summation order follows layout
+        rows = np.ascontiguousarray(rows)
+    gw = np.dot(gym, rows).reshape(weight.shape)
+    del rows  # nine times the padded input: not kept alive through the col2im
     taps = weight.transpose(2, 3, 0, 1).reshape(kh * kw, oc, c)
     gtaps = gy.transpose(0, 2, 3, 1).reshape(n * oh * ow, oc) @ taps  # (kh*kw, n*oh*ow, c)
-    gtaps = gtaps.reshape(kh, kw, n, oh, ow, c).transpose(0, 1, 2, 5, 3, 4)
-    gxp = np.zeros(xp_shape, dtype=gtaps.dtype)
+    gtaps = gtaps.reshape(kh, kw, n, oh, ow, c)
+    gxp = np.zeros((n, *xp_shape[2:], c), dtype=gtaps.dtype)  # channel-last
     for ki in range(kh):  # col2im: fold each tap's gradient back onto the input
         for kj in range(kw):
-            gxp[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += gtaps[ki, kj]
+            gxp[:, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += gtaps[ki, kj]
+    gxp = np.ascontiguousarray(gxp.transpose(0, 3, 1, 2))
     return gxp[:, :, padding:padding + h, padding:padding + w], gw, gb
 
 

@@ -7,8 +7,9 @@ restored afterwards, through the thread-count calls the library exports.
 There is one BLAS pool per process, so the pin is counted across threads:
 the first section to enter saves the pool size and the last to leave
 restores it, also when a job raised. ``infer`` runs its volumes on the
-pool; a job that calls ``run`` itself (the view estimate of such a volume)
-runs its jobs on its own thread, so pools never nest. Where BLAS cannot be
+pool and ``train-init`` its views, whose training (``training.fit``) holds
+its own pin; a job that calls ``run`` itself (the view estimate of such a
+volume) runs its jobs on its own thread, so pools never nest. Where BLAS cannot be
 pinned, ``threads()`` is 1 and the jobs run serially. Results come back in
 job order, so they do not depend on the number of threads.
 """

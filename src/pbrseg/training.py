@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ops
+from . import ops, parallel
 from .errors import ConfigError, DataError, NumericalError
 from .hybrid import build_hybrid
 from .optim import init_optimizer, optimizer_step
@@ -65,6 +65,7 @@ def _hard_dice(prob2d: np.ndarray, mask2d: np.ndarray, threshold: float = 0.5) -
     return 2.0 * int((pred & gt).sum()) / total
 
 
+@parallel.pinned_blas()  # batch-1 products are too small to gain from BLAS threads
 def fit(net: UNet, samples, targets, schedule: TrainSchedule, seed: int) -> list:
     """Train in place with batch size 1; returns the per-epoch log.
 

@@ -76,6 +76,31 @@ class TestExitCodes:
         assert "init_coronal.pbrw" in capsys.readouterr().err
         assert not (run / "volumes" / "pred_phantom_000.pvol").exists()
 
+    def test_failing_command_creates_no_run_directories(self, tmp_path, capsys):
+        data, run = _untrained_run(tmp_path)
+        fresh = tmp_path / "fresh"
+        for argv in (["infer", "--data", str(data), "--run", str(fresh), "--ids", "0"],
+                     ["train-init", "--data", str(tmp_path / "nope"), "--run", str(fresh)],
+                     ["train-primary", "--data", str(data), "--run", str(fresh),
+                      "--views", "coronal"],
+                     ["eval", "--data", str(data), "--run", str(fresh)]):
+            assert main(argv) == 2, argv
+            assert not fresh.exists(), argv
+        assert main(["infer", "--data", str(data), "--run", str(run), "--ids", "0",
+                     "--depth", "2"]) == 2
+        assert "primary_d2.pbrw" in capsys.readouterr().err
+        assert sorted(p.name for p in run.iterdir()) == ["checkpoints"]
+
+    def test_eval_creates_only_its_reports(self, tmp_path, capsys):
+        data, run = _untrained_run(tmp_path)
+        where = ["--data", str(data), "--run", str(run)]
+        assert main(["infer", *where]) == 0
+        scored = tmp_path / "scored"
+        assert main(["eval", "--data", str(data), "--run", str(scored),
+                     "--pred", str(run / "volumes")]) == 0
+        assert sorted(p.name for p in scored.iterdir()) == ["manifest_eval.json", "reports"]
+        assert (scored / "reports" / "volumes_init.csv").exists()
+
     def test_inverted_id_range(self, tmp_path, capsys):
         with pytest.raises(argparse.ArgumentTypeError):
             _ids("3-1")
@@ -492,6 +517,33 @@ class TestFullPipeline:
         assert all(in_pool and ident != threading.get_ident() for ident, in_pool in seen)
         for name in names:
             assert (run / "volumes" / name).read_bytes() == alone[name], name
+
+    def test_views_train_on_pool_threads_bit_identical(self, pipeline, tmp_path, monkeypatch):
+        if parallel._openblas() is None:
+            pytest.skip("BLAS cannot be pinned, so every command runs serially")
+        data, _ = pipeline
+        seen, train_initial = [], cli.train_initial
+
+        def spy(*a, **kw):
+            seen.append(threading.get_ident())
+            return train_initial(*a, **kw)
+
+        monkeypatch.setattr(cli, "train_initial", spy)
+        outputs = []
+        for cores in (1, 2):
+            monkeypatch.setattr(parallel, "cores", lambda: cores)
+            run = tmp_path / f"cores{cores}"
+            assert main(["train-init", "--data", str(data), "--run", str(run), "--ids", "0",
+                         "--views", "all", "--base-width", "4", "--sgd-epochs", "1",
+                         "--adam-epochs", "1", "--val-fraction", "0.1"]) == 0
+            manifest = json.loads((run / "manifest_train_init.json").read_text())
+            outputs.append(({p.relative_to(run): p.read_bytes() for p in run.rglob("*.*")
+                             if not p.name.startswith("manifest")}, manifest["checkpoints"]))
+        serial, pooled = seen[:3], seen[3:]
+        assert set(serial) == {threading.get_ident()}
+        assert pooled and threading.get_ident() not in pooled
+        assert len(outputs[0][0]) == 6
+        assert outputs[0] == outputs[1]
 
     def test_eval_missing_predictions(self, pipeline):
         data, run = pipeline

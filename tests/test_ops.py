@@ -116,6 +116,25 @@ def test_width8_net_matches_tap_reference_bitwise(rng, monkeypatch, in_channels,
         np.testing.assert_array_equal(grads[name], g, err_msg=name)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n,c,oc,h,w,stride,padding", [
+    (1, 8, 16, 32, 32, 2, 1), (1, 8, 16, 64, 64, 2, 1),  # stride 2, small and large gw product
+    (3, 4, 4, 12, 10, 2, 0), (1, 16, 8, 64, 64, 1, 0),  # padding 0
+    (3, 8, 16, 32, 32, 1, 1)])  # batch 3
+def test_conv2d_backward_matches_tap_reference_bitwise(rng, dtype, n, c, oc, h, w, stride,
+                                                       padding):
+    # shapes the width-8 net never reaches, on both sides of SMALL_PRODUCT
+    x = rng.standard_normal((n, c, h, w)).astype(dtype)
+    weight = rng.standard_normal((oc, c, 3, 3)).astype(dtype)
+    bias = rng.standard_normal(oc).astype(dtype)
+    y, cache = ops.conv2d(x, weight, bias, stride, padding)
+    _, ref_cache = ref_conv2d(x, weight, bias, stride, padding)
+    gy = rng.standard_normal(y.shape).astype(dtype)
+    for g, g_ref in zip(ops.conv2d_backward(gy, cache), ref_conv2d_backward(gy, ref_cache)):
+        assert g.dtype == dtype and g.shape == g_ref.shape
+        assert g.tobytes() == g_ref.tobytes()
+
+
 # -- conv2d -----------------------------------------------------------------
 
 def test_conv2d_all_ones_center():

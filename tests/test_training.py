@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from pbrseg import parallel, training
 from pbrseg.cli import build_parser
 from pbrseg.errors import ConfigError, DataError, NumericalError
 from pbrseg.phantom import gen_dataset
@@ -68,6 +69,34 @@ def test_deterministic(blob_data):
         nets.append(net)
     for k in nets[0].params:
         assert np.array_equal(nets[0].params[k], nets[1].params[k])
+
+
+def test_fit_pinned_matches_unpinned_bitwise(monkeypatch):
+    """fit runs with BLAS on one thread; a run on BLAS's own pool (the pin
+    disabled) ends with byte-identical weights."""
+    blas = parallel._openblas()
+    if blas is None:
+        pytest.skip("BLAS cannot be pinned")
+    rng = np.random.default_rng(1)
+    samples = [rng.standard_normal((1, 64, 64)).astype(np.float32) for _ in range(3)]
+    targets = [(x[0] > 0.5).astype(np.float32) for x in samples]
+    sched = TrainSchedule((Phase("sgd", 5e-3, 1), Phase("adam", 1e-3, 1)), val_fraction=0.0)
+    seen, step = [], training.optimizer_step
+
+    def spy(*args):
+        seen.append(blas[0]())
+        return step(*args)
+
+    monkeypatch.setattr(training, "optimizer_step", spy)
+    checkpoints = []
+    for pinnable in (True, False):
+        if not pinnable:
+            monkeypatch.setattr(parallel, "_openblas", lambda: None)
+        net = build_unet(UNetConfig(1, base_width=8), seed=0)
+        fit(net, samples, targets, sched, seed=0)
+        checkpoints.append(net.save())
+    assert seen == [1] * 6 + [blas[0]()] * 6
+    assert checkpoints[0] == checkpoints[1]
 
 
 def test_best_weights_restored(blob_data):
