@@ -22,7 +22,7 @@ from .metrics import (SliceReport, dsc_histogram, evaluate_slices, evaluate_volu
                       reliability_curve, small_target_report, summarize,
                       volume_agreement, volume_mm3, write_slice_csv,
                       write_volume_csv)
-from .phantom import PhantomSpec, gen_phantom
+from .phantom import PhantomSpec, gen_phantom, volume_seed
 from .preprocess import crop, crop_box, preprocess
 from .pvol import MaskVolume, read_pvol_file, write_pvol_file
 from .training import Phase, TrainSchedule, train_initial, train_primary, write_train_log
@@ -214,11 +214,10 @@ def cmd_phantom(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):
-        seed = int(np.random.SeedSequence([args.seed, i]).generate_state(1)[0])
-        spec = PhantomSpec(seed=seed, dims=args.dims, contrast=args.contrast,
-                           noise_std=args.noise, distractors=args.distractors,
-                           min_radius=args.min_radius, max_radius=args.max_radius,
-                           taper=args.taper)
+        spec = PhantomSpec(seed=volume_seed(args.seed, i), dims=args.dims,
+                           contrast=args.contrast, noise_std=args.noise,
+                           distractors=args.distractors, min_radius=args.min_radius,
+                           max_radius=args.max_radius, taper=args.taper)
         v, m = gen_phantom(spec)
         write_pvol_file(out / f"phantom_{i:03d}.pvol", v)
         write_pvol_file(out / f"phantom_{i:03d}_mask.pvol", m)
@@ -432,10 +431,10 @@ def build_parser() -> tuple:
         add(p, "--ids", type=_ids, default=None,
             help="volume numbers, e.g. 0-15 or 3,7,9")
         add(p, "--crop", type=_crop_hw, default=None, help="h,w")
-        add(p, "--seed", type=int, default=0)
 
     def training(p):
         common(p)
+        add(p, "--seed", type=int, default=0)
         add(p, "--patience", type=int, default=20)
         add(p, "--val-fraction", type=_ranged(float, 0, below=1), default=0.01)
         add(p, "--augment", action="store_true")

@@ -52,13 +52,19 @@ def _counts(a, b):
     return inter, int(np.count_nonzero(ad)), int(np.count_nonzero(bd))
 
 
-def dsc(a: MaskVolume, b: MaskVolume) -> float:
-    """Dice similarity 2|a n b| / (|a| + |b|); two empty masks agree (1.0)."""
-    _check_dims(a, b)
+def array_dsc(a, b) -> float:
+    """Dice similarity 2|a n b| / (|a| + |b|) of two same-shape masks,
+    nonzero meaning foreground; two empty masks agree (1.0)."""
     inter, na, nb = _counts(a, b)
     if na + nb == 0:
         return 1.0
     return 2.0 * inter / (na + nb)
+
+
+def dsc(a: MaskVolume, b: MaskVolume) -> float:
+    """``array_dsc`` of two volumes, which must have equal dims."""
+    _check_dims(a, b)
+    return array_dsc(a, b)
 
 
 def iou(a: MaskVolume, b: MaskVolume) -> float:
@@ -156,13 +162,6 @@ def evaluate_volume(pred: MaskVolume, gt: MaskVolume, volume_id: str = "",
     )
 
 
-def _slice_dsc(a2d: np.ndarray, b2d: np.ndarray) -> float:
-    inter, na, nb = _counts(a2d, b2d)
-    if na + nb == 0:
-        return 1.0
-    return 2.0 * inter / (na + nb)
-
-
 def evaluate_slices(pred: MaskVolume, gt: MaskVolume, volume_id: str = "",
                     head_tail_n: int = 3) -> list:
     """Per-slice Dice along the stacking axis, head/tail slices flagged."""
@@ -176,7 +175,7 @@ def evaluate_slices(pred: MaskVolume, gt: MaskVolume, volume_id: str = "",
         out.append(SliceReport(
             volume_id=volume_id,
             slice_index=t,
-            dsc=_slice_dsc(pred.data[t], gt.data[t]),
+            dsc=array_dsc(pred.data[t], gt.data[t]),
             gt_pixels=int(np.count_nonzero(gt.data[t])),
             is_head_or_tail=t in head_tail,
         ))

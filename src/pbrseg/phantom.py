@@ -139,10 +139,12 @@ def gen_phantom(spec: PhantomSpec):
             MaskVolume(mask, spec.spacing))
 
 
+def volume_seed(base_seed: int, i: int) -> int:
+    """The seed of volume i in a dataset drawn from base_seed."""
+    return int(np.random.SeedSequence([base_seed, i]).generate_state(1)[0])
+
+
 def gen_dataset(n: int, base_seed: int = 0, **overrides):
     """n phantoms with decorrelated per-volume seeds."""
-    out = []
-    for i in range(n):
-        seed = int(np.random.SeedSequence([base_seed, i]).generate_state(1)[0])
-        out.append(gen_phantom(PhantomSpec(seed=seed, **overrides)))
-    return out
+    return [gen_phantom(PhantomSpec(seed=volume_seed(base_seed, i), **overrides))
+            for i in range(n)]

@@ -10,6 +10,7 @@ import numpy as np
 from . import ops, parallel
 from .errors import ConfigError, DataError, NumericalError
 from .hybrid import build_hybrid
+from .metrics import array_dsc
 from .optim import init_optimizer, optimizer_step
 from .preprocess import augment
 from .pvol import ProbVolume
@@ -54,15 +55,6 @@ def write_train_log(logs, path) -> None:
 
 def _subseed(*entropy) -> int:
     return int(np.random.SeedSequence(list(entropy)).generate_state(1)[0])
-
-
-def _hard_dice(prob2d: np.ndarray, mask2d: np.ndarray, threshold: float = 0.5) -> float:
-    pred = prob2d > threshold
-    gt = mask2d > 0.5
-    total = int(pred.sum()) + int(gt.sum())
-    if total == 0:
-        return 1.0
-    return 2.0 * int((pred & gt).sum()) / total
 
 
 @parallel.pinned_blas()  # batch-1 products are too small to gain from BLAS threads
@@ -117,7 +109,7 @@ def fit(net: UNet, samples, targets, schedule: TrainSchedule, seed: int) -> list
                 scores = []
                 for j in val_idx:
                     y = net.forward(samples[j][None])
-                    scores.append(_hard_dice(y[0, 0], targets[j]))
+                    scores.append(array_dsc(y[0, 0] > 0.5, targets[j] > 0.5))
                 val_dice = float(np.mean(scores))
             train_loss = float(np.mean(losses))
             logs.append(EpochLog(epoch, phase.optimizer, state.lr, train_loss, val_dice))

@@ -7,6 +7,10 @@ the channel count, concatenate the matching encoder skip tensor, and
 apply two more conv + relu pairs. A final 1x1 convolution plus sigmoid
 produces a single-channel probability map at full input resolution.
 
+``architecture_specs`` is the only statement of that layer sequence:
+``UNet.forward`` walks it in order and ``UNet.backward`` in reverse, and
+the weight shapes, initialisation and checkpoint checks are read from it.
+
 ``UNet.forward`` takes slices whose height and width divide by 16; callers
 run any other size through ``forward_padded``, which pads and crops.
 """
@@ -22,7 +26,6 @@ from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .errors import ConfigError, SchemaError
 
 CONV_KERNEL = 3
-CONV_PAD = 1
 UP_KERNEL = 2
 LEVELS = 4
 DIVISOR = 2 ** LEVELS  # every level halves the slice, so inputs must divide by this
@@ -30,7 +33,7 @@ DIVISOR = 2 ** LEVELS  # every level halves the slice, so inputs must divide by 
 
 @dataclass(frozen=True)
 class LayerSpec:
-    kind: str  # conv | transposed-conv | maxpool | activation | concat
+    kind: str  # conv | relu | maxpool | transposed-conv | concat | sigmoid
     in_channels: int
     out_channels: int
     kernel: int = 0
@@ -73,9 +76,9 @@ def forward_padded(net, x: np.ndarray) -> np.ndarray:
 def _block_specs(block, in_c, out_c):
     return [
         (f"{block}.conv1", LayerSpec("conv", in_c, out_c, CONV_KERNEL)),
-        (f"{block}.relu1", LayerSpec("activation", out_c, out_c)),
+        (f"{block}.relu1", LayerSpec("relu", out_c, out_c)),
         (f"{block}.conv2", LayerSpec("conv", out_c, out_c, CONV_KERNEL)),
-        (f"{block}.relu2", LayerSpec("activation", out_c, out_c)),
+        (f"{block}.relu2", LayerSpec("relu", out_c, out_c)),
     ]
 
 
@@ -99,7 +102,7 @@ def architecture_specs(config: UNetConfig):
         specs += _block_specs(f"dec{i}", 2 * w, w)
         c = w
     specs += [("out", LayerSpec("conv", c, 1, 1))]
-    specs += [("out.sigmoid", LayerSpec("activation", 1, 1))]
+    specs += [("out.sigmoid", LayerSpec("sigmoid", 1, 1))]
     return specs
 
 
@@ -114,28 +117,12 @@ class UNet:
     def __init__(self, config: UNetConfig, params: dict):
         self.config = config
         self.params = params
+        self.specs = architecture_specs(config)
         self._tape = None
 
     @property
     def in_channels(self) -> int:
         return self.config.in_channels
-
-    # -- forward -----------------------------------------------------------
-
-    def _conv(self, prefix, x, tape, padding=CONV_PAD):
-        y, cache = ops.conv2d(x, self.params[f"{prefix}.w"], self.params[f"{prefix}.b"],
-                              stride=1, padding=padding)
-        if tape is not None:
-            tape[prefix] = cache
-        return y
-
-    def _double_conv(self, block, x, tape):
-        for i in (1, 2):
-            # the conv's output is fresh, so relu may overwrite it
-            x, c = ops.relu_inplace(self._conv(f"{block}.conv{i}", x, tape))
-            if tape is not None:
-                tape[f"{block}.relu{i}"] = c
-        return x
 
     def forward(self, x, train=False):
         if x.ndim != 4 or x.shape[1] != self.in_channels:
@@ -148,41 +135,30 @@ class UNet:
         tape = {} if train else None
         skips = []
         a = x
-        for i in range(1, LEVELS + 1):
-            a = self._double_conv(f"enc{i}", a, tape)
-            skips.append(a)
-            a, cache = ops.maxpool2x2(a)
+        for name, spec in self.specs:
+            if spec.kind == "conv":
+                a, cache = ops.conv2d(a, self.params[f"{name}.w"], self.params[f"{name}.b"],
+                                      stride=1, padding=spec.kernel // 2)
+            elif spec.kind == "relu":
+                # every relu follows its conv, whose output is fresh, so relu may overwrite it
+                a, cache = ops.relu_inplace(a)
+            elif spec.kind == "maxpool":
+                skips.append(a)
+                a, cache = ops.maxpool2x2(a)
+            elif spec.kind == "transposed-conv":
+                a, cache = ops.transposed_conv2d(a, self.params[f"{name}.w"],
+                                                 self.params[f"{name}.b"])
+            elif spec.kind == "concat":
+                a, cache = ops.concat_channels(a, skips.pop())
+            elif spec.kind == "sigmoid":
+                a, cache = ops.activation(a, "sigmoid")
+            else:
+                raise ConfigError(f"layer '{name}' has unknown kind '{spec.kind}'")
             if tape is not None:
-                tape[f"pool{i}"] = cache
-        a = self._double_conv("mid", a, tape)
-        for i in range(LEVELS, 0, -1):
-            a, cache = ops.transposed_conv2d(a, self.params[f"dec{i}.up.w"],
-                                             self.params[f"dec{i}.up.b"])
-            if tape is not None:
-                tape[f"dec{i}.up"] = cache
-            a, split = ops.concat_channels(a, skips[i - 1])
-            if tape is not None:
-                tape[f"dec{i}.split"] = split
-            a = self._double_conv(f"dec{i}", a, tape)
-        a = self._conv("out", a, tape, padding=0)
-        a, cache = ops.activation(a, "sigmoid")
+                tape[name] = cache
         if tape is not None:
-            tape["out.sigmoid"] = cache
             self._tape = tape
         return a
-
-    # -- backward ----------------------------------------------------------
-
-    def _double_conv_backward(self, block, gy, tape, grads):
-        gy = ops.activation_backward(gy, tape[f"{block}.relu2"])
-        gy, gw, gb = ops.conv2d_backward(gy, tape[f"{block}.conv2"])
-        grads[f"{block}.conv2.w"] = gw
-        grads[f"{block}.conv2.b"] = gb
-        gy = ops.activation_backward(gy, tape[f"{block}.relu1"])
-        gy, gw, gb = ops.conv2d_backward(gy, tape[f"{block}.conv1"])
-        grads[f"{block}.conv1.w"] = gw
-        grads[f"{block}.conv1.b"] = gb
-        return gy
 
     def backward(self, gy):
         """Backpropagate an output gradient; returns (grads, input grad).
@@ -194,23 +170,22 @@ class UNet:
         if tape is None:
             raise ConfigError("backward() called without forward(train=True)")
         grads: dict = {}
-        gy = ops.activation_backward(gy, tape["out.sigmoid"])
-        gy, gw, gb = ops.conv2d_backward(gy, tape["out"])
-        grads["out.w"] = gw
-        grads["out.b"] = gb
-        skip_grads = [None] * LEVELS
-        for i in range(1, LEVELS + 1):  # decoder blocks in reverse execution order
-            gy = self._double_conv_backward(f"dec{i}", gy, tape, grads)
-            g_up, g_skip = ops.concat_channels_backward(gy, tape[f"dec{i}.split"])
-            skip_grads[i - 1] = g_skip
-            gy, gw, gb = ops.transposed_conv2d_backward(g_up, tape[f"dec{i}.up"])
-            grads[f"dec{i}.up.w"] = gw
-            grads[f"dec{i}.up.b"] = gb
-        gy = self._double_conv_backward("mid", gy, tape, grads)
-        for i in range(LEVELS, 0, -1):
-            gy = ops.maxpool2x2_backward(gy, tape[f"pool{i}"], skip_grads[i - 1].shape)
-            gy = gy + skip_grads[i - 1]
-            gy = self._double_conv_backward(f"enc{i}", gy, tape, grads)
+        skip_grads = []
+        for name, spec in reversed(self.specs):
+            cache = tape[name]
+            if spec.kind in ("relu", "sigmoid"):
+                gy = ops.activation_backward(gy, cache)
+            elif spec.kind == "conv":
+                gy, grads[f"{name}.w"], grads[f"{name}.b"] = ops.conv2d_backward(gy, cache)
+            elif spec.kind == "transposed-conv":
+                gy, grads[f"{name}.w"], grads[f"{name}.b"] = \
+                    ops.transposed_conv2d_backward(gy, cache)
+            elif spec.kind == "concat":
+                gy, g_skip = ops.concat_channels_backward(gy, cache)
+                skip_grads.append(g_skip)
+            else:  # maxpool: its input also fed the skip, so both gradients meet here
+                g_skip = skip_grads.pop()
+                gy = ops.maxpool2x2_backward(gy, cache, g_skip.shape) + g_skip
         self._tape = None
         return grads, gy
 

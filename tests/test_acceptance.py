@@ -502,12 +502,12 @@ def test_determinism(tmp_path_factory, monkeypatch):
         monkeypatch.chdir(root)  # keep manifest paths relative, hence comparable
         assert cli_main(["phantom", "--out", "data", "--count", "3",
                          "--dims", "22,48,48", "--seed", "2"]) == 0
-        common = ["--data", "data", "--run", "run", "--seed", "1"]
-        assert cli_main(["train-init", *common, "--ids", "0-1", "--base-width", "4",
-                         "--sgd-epochs", "2", "--adam-epochs", "2",
+        common = ["--data", "data", "--run", "run"]
+        assert cli_main(["train-init", *common, "--seed", "1", "--ids", "0-1",
+                         "--base-width", "4", "--sgd-epochs", "2", "--adam-epochs", "2",
                          "--val-fraction", "0.1"]) == 0
-        assert cli_main(["train-primary", *common, "--ids", "0-1", "--base-width", "4",
-                         "--epochs", "3", "--val-fraction", "0.1"]) == 0
+        assert cli_main(["train-primary", *common, "--seed", "1", "--ids", "0-1",
+                         "--base-width", "4", "--epochs", "3", "--val-fraction", "0.1"]) == 0
         assert cli_main(["infer", *common, "--ids", "1-2"]) == 0
         assert cli_main(["eval", *common, "--ids", "1-2"]) == 0
         assert cli_main(["report", "--run", "run"]) == 0

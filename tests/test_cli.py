@@ -15,7 +15,7 @@ from pbrseg import cli, parallel
 from pbrseg.cli import _ids, main
 from pbrseg.metrics import (dsc_histogram, evaluate_slices, reliability_curve,
                             small_target_report, volume_agreement, volume_mm3)
-from pbrseg.phantom import PhantomSpec, gen_phantom
+from pbrseg.phantom import PhantomSpec, gen_dataset, gen_phantom
 from pbrseg.preprocess import crop
 from pbrseg.pvol import MaskVolume, read_pvol_file, write_pvol_file
 from pbrseg.unet import UNetConfig, build_unet
@@ -50,6 +50,13 @@ class TestExitCodes:
         for flags in (["--workers", "2"], ["--inclusive"]):
             assert main(["infer", "--data", str(data), "--run", str(run), *flags]) == 1
             assert flags[0] in capsys.readouterr().err
+        assert not (run / "volumes" / "pred_phantom_000.pvol").exists()
+
+    def test_seed_only_on_commands_that_read_it(self, tmp_path, capsys):
+        data, run = _untrained_run(tmp_path)
+        for command in ("infer", "eval"):
+            assert main([command, "--data", str(data), "--run", str(run), "--seed", "1"]) == 1
+            assert "--seed" in capsys.readouterr().err
         assert not (run / "volumes" / "pred_phantom_000.pvol").exists()
 
     def test_bad_dims_string(self, tmp_path, capsys):
@@ -270,6 +277,21 @@ class TestPhantomCommand:
             outs.append((out / "phantom_000.pvol").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_writes_what_gen_dataset_gives(self, tmp_path):
+        spec = dict(dims=(22, 48, 48), contrast=70.0, noise_std=12.0, distractors=1,
+                    min_radius=2.0, max_radius=8.0, taper=4)
+        assert main(["phantom", "--out", str(tmp_path / "cli"), "--count", "2",
+                     "--dims", "22,48,48", "--seed", "13", "--contrast", "70",
+                     "--noise", "12", "--distractors", "1", "--min-radius", "2",
+                     "--max-radius", "8", "--taper", "4"]) == 0
+        lib = tmp_path / "lib"
+        lib.mkdir()
+        for i, (v, m) in enumerate(gen_dataset(2, base_seed=13, **spec)):
+            write_pvol_file(lib / f"phantom_{i:03d}.pvol", v)
+            write_pvol_file(lib / f"phantom_{i:03d}_mask.pvol", m)
+        for path in sorted(lib.iterdir()):
+            assert (tmp_path / "cli" / path.name).read_bytes() == path.read_bytes(), path.name
+
 
 def test_infer_any_in_plane_size(tmp_path):
     data, run = _untrained_run(tmp_path, dims=(22, 50, 60))
@@ -427,12 +449,12 @@ def pipeline(tmp_path_factory):
     data, run = root / "data", root / "run"
     assert main(["phantom", "--out", str(data), "--count", "3",
                  "--dims", "22,48,48", "--seed", "2"]) == 0
-    common = ["--data", str(data), "--run", str(run), "--seed", "1"]
-    assert main(["train-init", *common, "--ids", "0-1", "--base-width", "4",
+    common = ["--data", str(data), "--run", str(run)]
+    assert main(["train-init", *common, "--seed", "1", "--ids", "0-1", "--base-width", "4",
                  "--sgd-epochs", "2", "--adam-epochs", "2",
                  "--val-fraction", "0.1"]) == 0
-    assert main(["train-primary", *common, "--ids", "0-1", "--base-width", "4",
-                 "--epochs", "3", "--val-fraction", "0.1"]) == 0
+    assert main(["train-primary", *common, "--seed", "1", "--ids", "0-1",
+                 "--base-width", "4", "--epochs", "3", "--val-fraction", "0.1"]) == 0
     assert main(["infer", *common, "--ids", "1-2"]) == 0
     assert main(["eval", *common, "--ids", "1-2"]) == 0
     assert main(["report", "--run", str(run)]) == 0
@@ -495,7 +517,7 @@ class TestFullPipeline:
             pytest.skip("BLAS cannot be pinned, so every command runs serially")
         data, run = pipeline
         run = shutil.copytree(run, tmp_path / "run")
-        common = ["--data", str(data), "--run", str(run), "--seed", "1"]
+        common = ["--data", str(data), "--run", str(run)]
         names = [f"{stem}_phantom_00{i}.pvol"
                  for stem in ("pred", "prob", "pred_init", "prob_init") for i in (1, 2)]
         for i in (1, 2):

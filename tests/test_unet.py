@@ -7,8 +7,8 @@ import pytest
 
 from pbrseg import ops
 from pbrseg.errors import ConfigError
-from pbrseg.unet import (UNet, UNetConfig, architecture_specs, build_unet, forward_padded,
-                         pad_to_divisor)
+from pbrseg.unet import (LayerSpec, UNet, UNetConfig, architecture_specs, build_unet,
+                         forward_padded, pad_to_divisor)
 
 from conftest import finite_diff_grad_at, rel_error
 
@@ -166,6 +166,22 @@ def test_architecture_specs_align_with_params():
                   if s.kind in ("conv", "transposed-conv")}
     param_prefixes = {k.rsplit(".", 1)[0] for k in net.params}
     assert spec_names == param_prefixes
+
+
+def test_tape_follows_architecture_specs(rng):
+    """forward(train=True) records one entry per spec, under the spec's name
+    and in spec order, and refuses a layer kind it has no branch for."""
+    config = UNetConfig(in_channels=3, base_width=2)
+    net = build_unet(config)
+    specs = architecture_specs(config)
+    x = rng.standard_normal((1, 3, 16, 16)).astype(np.float32)
+    net.forward(x, train=True)
+    assert list(net._tape) == [name for name, _ in specs]
+    assert {s.kind for _, s in specs} == {"conv", "relu", "maxpool", "transposed-conv",
+                                          "concat", "sigmoid"}
+    net.specs = specs + [("out.dropout", LayerSpec("dropout", 1, 1))]
+    with pytest.raises(ConfigError, match="dropout"):
+        net.forward(x)
 
 
 def test_end_to_end_gradient_tiny_net(rng):
