@@ -18,10 +18,10 @@ from . import __version__, parallel
 from .checkpoint import checkpoint_digest
 from .errors import ConfigError, DataError, NumericalError
 from .hybrid import SweepConfig, binarize, infer_pbr
-from .metrics import (SliceReport, dsc_histogram, evaluate_slices, evaluate_volume,
-                      reliability_curve, small_target_report, summarize,
-                      volume_agreement, volume_mm3, write_slice_csv,
-                      write_volume_csv)
+from .metrics import (SliceReport, VolumeReport, dsc_histogram, evaluate_slices,
+                      evaluate_volume, read_columns, read_slice_csv, reliability_curve,
+                      small_target_report, summarize, volume_agreement, volume_mm3,
+                      write_csv)
 from .phantom import PhantomSpec, gen_phantom, volume_seed
 from .preprocess import crop, crop_box, preprocess
 from .pvol import MaskVolume, read_pvol_file, write_pvol_file
@@ -341,27 +341,12 @@ def cmd_eval(args) -> int:
         scored.append((tag, _eval_set(masks, pred_dir, prefix)))
     out = _run_dir(args.run, "reports")
     for tag, (vols, slices, mm3) in scored:
-        write_volume_csv(vols, out / f"volumes{tag}.csv")
-        write_slice_csv(slices, out / f"slices{tag}.csv")
+        write_csv(vols, out / f"volumes{tag}.csv", VolumeReport)
+        write_csv(slices, out / f"slices{tag}.csv", SliceReport)
         _write_json(out / f"summary{tag}.json", summarize(vols))
         _write_json(out / f"volumes_mm3{tag}.json", mm3)
     _write_manifest(args.run, "eval", args, {})
     return 0
-
-
-def _read_volumes_csv(path: Path):
-    with open(path, newline="") as f:
-        return list(csv.DictReader(f))
-
-
-def _read_slices_csv(path: Path):
-    out = []
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            out.append(SliceReport(row["volume_id"], int(row["slice_index"]),
-                                   float(row["dsc"]), int(row["gt_pixels"]),
-                                   row["is_head_or_tail"] == "1"))
-    return out
 
 
 def cmd_report(args) -> int:
@@ -369,25 +354,27 @@ def cmd_report(args) -> int:
     for name in ("volumes.csv", "slices.csv", "volumes_mm3.json"):
         if not (reports / name).exists():
             raise DataError(f"missing {reports / name}: run eval first")
-    vol_rows = _read_volumes_csv(reports / "volumes.csv")
-    slice_reports = _read_slices_csv(reports / "slices.csv")
+    volume_dscs = read_columns(reports / "volumes.csv", {"dsc": float})["dsc"]
+    slice_reports = read_slice_csv(reports / "slices.csv")
+    try:
+        mm3 = json.loads((reports / "volumes_mm3.json").read_text())
+        pred_mm3, gt_mm3 = ([float(v) for v in mm3[key]] for key in ("pred", "gt"))
+    except (ValueError, KeyError, TypeError) as e:
+        raise DataError(f"malformed {reports / 'volumes_mm3.json'}: {e!r}") from None
 
-    fg_slices = [r for r in slice_reports if r.gt_pixels > 0]
-    _write_json(reports / "histogram.json", dsc_histogram(fg_slices))
+    # every table is computed before the first is written, so a report that fails leaves none
+    histogram = dsc_histogram([r for r in slice_reports if r.gt_pixels > 0])
+    curve = reliability_curve(volume_dscs)
+    agreement = volume_agreement(pred_mm3, gt_mm3)
+    small = small_target_report(slice_reports, args.area_threshold, args.head_tail_n)
 
-    curve = reliability_curve([float(r["dsc"]) for r in vol_rows])
+    _write_json(reports / "histogram.json", histogram)
     with open(reports / "reliability.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(("threshold", "fraction"))
         for t, frac in curve:
             w.writerow((f"{t:.2f}", f"{frac:.6f}"))
-
-    with open(reports / "volumes_mm3.json") as f:
-        mm3 = json.load(f)
-    agreement = volume_agreement(mm3["pred"], mm3["gt"])
     _write_json(reports / "agreement.json", vars(agreement))
-
-    small = small_target_report(slice_reports, args.area_threshold, args.head_tail_n)
     _write_json(reports / "small_targets.json", small)
     _write_manifest(args.run, "report", args, {})
     return 0
@@ -435,7 +422,7 @@ def build_parser() -> tuple:
     def training(p):
         common(p)
         add(p, "--seed", type=int, default=0)
-        add(p, "--patience", type=int, default=20)
+        add(p, "--patience", type=_ranged(int, 1), default=20)
         add(p, "--val-fraction", type=_ranged(float, 0, below=1), default=0.01)
         add(p, "--augment", action="store_true")
         add(p, "--base-width", type=int, default=8)
@@ -445,8 +432,8 @@ def build_parser() -> tuple:
     add(p, "--views", type=_views_arg, default=("axial",))
     add(p, "--sgd-epochs", type=_ranged(int, 0), default=3)
     add(p, "--adam-epochs", type=_ranged(int, 0), default=5)
-    add(p, "--sgd-lr", type=float, default=5e-3)
-    add(p, "--adam-lr", type=float, default=1e-4)
+    add(p, "--sgd-lr", type=_ranged(float, 0), default=5e-3)
+    add(p, "--adam-lr", type=_ranged(float, 0), default=1e-4)
     p.set_defaults(func=cmd_train_init)
 
     p = sub.add_parser("train-primary", help="train the refinement net")
@@ -454,7 +441,7 @@ def build_parser() -> tuple:
     add(p, "--views", type=_views_arg, default=("axial",))
     add(p, "--depth", type=int, default=1, choices=(1, 2, 3))
     add(p, "--epochs", type=_ranged(int, 0), default=6)
-    add(p, "--lr", type=float, default=5e-4)
+    add(p, "--lr", type=_ranged(float, 0), default=5e-4)
     add(p, "--teacher-forced", action="store_true")
     p.set_defaults(func=cmd_train_primary)
 

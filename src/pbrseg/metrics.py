@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -162,14 +162,19 @@ def evaluate_volume(pred: MaskVolume, gt: MaskVolume, volume_id: str = "",
     )
 
 
+def _head_tail(fg, n: int) -> set:
+    """The first and last n of the ascending foreground slice indices fg."""
+    if n < 1:  # fg[-0:] is every slice, so n = 0 must not mean "all of them"
+        raise ConfigError(f"head_tail_n must be >= 1, got {n}")
+    return set(fg[:n]) | set(fg[-n:])
+
+
 def evaluate_slices(pred: MaskVolume, gt: MaskVolume, volume_id: str = "",
                     head_tail_n: int = 3) -> list:
     """Per-slice Dice along the stacking axis, head/tail slices flagged."""
     _check_dims(pred, gt)
-    if head_tail_n < 1:
-        raise ConfigError(f"head_tail_n must be >= 1, got {head_tail_n}")
     fg = [t for t in range(pred.dims[0]) if gt.data[t].any()]
-    head_tail = set(fg[:head_tail_n]) | set(fg[-head_tail_n:]) if fg else set()
+    head_tail = _head_tail(fg, head_tail_n)
     out = []
     for t in range(pred.dims[0]):
         out.append(SliceReport(
@@ -184,18 +189,13 @@ def evaluate_slices(pred: MaskVolume, gt: MaskVolume, volume_id: str = "",
 
 def dsc_histogram(slice_reports, buckets=DSC_BUCKETS) -> dict:
     """Counts of slices per Dice interval; intervals are [lo, hi) except
-    the last, which is closed. Counts partition the input."""
-    edges = list(zip(buckets[:-1], buckets[1:]))
-    counts = [0] * len(edges)
-    for r in slice_reports:
-        for j, (lo, hi) in enumerate(edges):
-            last = j == len(edges) - 1
-            if lo <= r.dsc < hi or (last and r.dsc == hi):
-                counts[j] += 1
-                break
+    the last, which is closed. Scores outside the buckets count in no
+    interval but in the total."""
+    counts = np.histogram([r.dsc for r in slice_reports], buckets)[0].tolist()
     n = len(slice_reports)
     percent = [100.0 * c / n if n else 0.0 for c in counts]
-    return {"edges": edges, "counts": counts, "percent": percent, "total": n}
+    return {"edges": list(zip(buckets[:-1], buckets[1:])), "counts": counts,
+            "percent": percent, "total": n}
 
 
 def reliability_curve(volume_dscs) -> list:
@@ -245,14 +245,13 @@ def volume_agreement(pred_mm3, gt_mm3) -> AgreementReport:
 
 def _cohort_stats(members) -> dict:
     scores = np.asarray([r.dsc for r in members], dtype=np.float64)
-    out = {
+    return {
         "count": len(members),
-        "failed": int(np.count_nonzero(scores == 0.0)) if len(members) else 0,
-        "mean_dsc": float(scores.mean()) if len(members) else None,
-        "std_dsc": float(scores.std()) if len(members) else None,
+        "failed": int(np.count_nonzero(scores == 0.0)),
+        "mean_dsc": float(scores.mean()) if members else None,
+        "std_dsc": float(scores.std()) if members else None,
         "slices": [(r.volume_id, r.slice_index) for r in members],
     }
-    return out
 
 
 def small_target_report(slice_reports, area_threshold: int = 300,
@@ -260,19 +259,15 @@ def small_target_report(slice_reports, area_threshold: int = 300,
     """Dice statistics over the hard cohorts: the first/last n foreground
     slices of each volume, and slices whose reference area is at most
     area_threshold pixels. A slice with Dice 0 counts as failed."""
-    if head_tail_n < 1:
+    if head_tail_n < 1:  # _head_tail checks it too, but only runs on a volume
         raise ConfigError(f"head_tail_n must be >= 1, got {head_tail_n}")
     by_volume = {}
     for r in slice_reports:
-        by_volume.setdefault(r.volume_id, []).append(r)
+        by_volume.setdefault(r.volume_id, {})[r.slice_index] = r
     head_tail = []
-    for reports in by_volume.values():
-        fg = sorted((r for r in reports if r.gt_pixels > 0), key=lambda r: r.slice_index)
-        seen = set()
-        for r in fg[:head_tail_n] + fg[-head_tail_n:]:
-            if r.slice_index not in seen:
-                seen.add(r.slice_index)
-                head_tail.append(r)
+    for by_slice in by_volume.values():
+        fg = sorted(t for t, r in by_slice.items() if r.gt_pixels > 0)
+        head_tail += [by_slice[t] for t in sorted(_head_tail(fg, head_tail_n))]
     small = [r for r in slice_reports if 0 < r.gt_pixels <= area_threshold]
     return {
         "area_threshold": area_threshold,
@@ -285,32 +280,48 @@ def small_target_report(slice_reports, area_threshold: int = 300,
 def _fmt(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, bool):
-        return str(int(x))
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (bool, int, np.integer)):
         return str(int(x))
     return f"{x:.6f}"
 
 
-VOLUME_COLUMNS = ("volume_id", "dsc", "iou", "recall", "precision", "hd_directed",
-                  "hd_symmetric", "rmse", "pred_voxels", "gt_voxels", "seconds")
-SLICE_COLUMNS = ("volume_id", "slice_index", "dsc", "gt_pixels", "is_head_or_tail")
-
-
-def write_volume_csv(reports, path) -> None:
+def write_csv(reports, path, cls) -> None:
+    """One row per report, one column per field of the dataclass cls."""
+    names = [f.name for f in fields(cls)]
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(VOLUME_COLUMNS)
-        for r in reports:
-            w.writerow([r.volume_id] + [_fmt(getattr(r, c)) for c in VOLUME_COLUMNS[1:]])
+        w.writerow(names)
+        w.writerows([_fmt(getattr(r, name)) for name in names] for r in reports)
 
 
-def write_slice_csv(reports, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(SLICE_COLUMNS)
-        for r in reports:
-            w.writerow([r.volume_id] + [_fmt(getattr(r, c)) for c in SLICE_COLUMNS[1:]])
+_PARSE = {"str": str, "int": int, "float": float,  # by field annotation, a string here
+          "bool": {"0": False, "1": True}.__getitem__}
+
+
+def read_columns(path, parsers: dict) -> dict:
+    """The named columns of a CSV file, each value parsed by its column's
+    function. A missing column or a bad value is a DataError that names
+    the file and the column."""
+    with open(path, newline="") as f:
+        try:
+            rows = list(csv.DictReader(f))
+        except (UnicodeDecodeError, csv.Error) as e:
+            raise DataError(f"{path} is not a CSV table: {e}") from None
+    columns = {}
+    for name, parse in parsers.items():
+        try:
+            columns[name] = [parse(row[name]) for row in rows]
+        except (KeyError, TypeError, ValueError) as e:
+            raise DataError(f"{path}: bad or missing {name} column: {e}") from None
+    return columns
+
+
+def read_slice_csv(path) -> list:
+    """The SliceReports of a file ``write_csv(..., SliceReport)`` wrote."""
+    columns = read_columns(path, {f.name: _PARSE[f.type] for f in fields(SliceReport)})
+    return [SliceReport(*row) for row in zip(*columns.values())]
 
 
 def summarize(volume_reports) -> dict:

@@ -36,6 +36,16 @@ def _untrained_run(tmp_path, dims=(22, 48, 48)):
     return data, run
 
 
+def _eval_tables(fabricated_run, tmp_path):
+    """A run holding only the three tables that report reads, copied from
+    the fabricated run."""
+    run = tmp_path / "run"
+    (run / "reports").mkdir(parents=True)
+    for name in ("volumes.csv", "slices.csv", "volumes_mm3.json"):
+        shutil.copy(fabricated_run[1] / "reports" / name, run / "reports")
+    return run
+
+
 class TestExitCodes:
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -121,9 +131,22 @@ class TestExitCodes:
         for argv in (["train-init", *no_epochs, "--val-fraction", "-0.5"],
                      ["train-init", "--base-width", "2", "--adam-epochs", "0",
                       "--sgd-epochs", "-1"],
-                     ["train-primary", "--base-width", "2", "--epochs", "-2"]):
+                     ["train-primary", "--base-width", "2", "--epochs", "-2"],
+                     ["train-init", *no_epochs, "--sgd-lr", "-5"],
+                     ["train-init", *no_epochs, "--adam-lr", "-0.0001"],
+                     ["train-primary", "--base-width", "2", "--epochs", "0", "--lr", "-1"],
+                     ["train-init", *no_epochs, "--patience", "0"],
+                     ["train-primary", "--base-width", "2", "--epochs", "0",
+                      "--patience", "-4"]):
             assert main([*argv, *where]) == 1, argv
             assert argv[-2] in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        for text in ("patience = 0", "lr = -1"):  # a config file goes through the same ranges
+            cfg.write_text(text + "\n")
+            assert main(["--config", str(cfg), "train-primary", *where, "--base-width", "2",
+                         "--epochs", "0"]) == 1, text
+            assert f"bad config value for {text.split()[0]}" in capsys.readouterr().err
+        assert sorted(p.name for p in run.iterdir()) == ["checkpoints"]
         assert not (run / "volumes" / "pred_phantom_000.pvol").exists()
         out = ["--out", str(tmp_path / "phantoms")]
         scored = ["--run", str(fabricated_run[1])]
@@ -149,6 +172,42 @@ class TestExitCodes:
             assert main(["report", "--run", str(run)]) == 2
             assert f"{name}: run eval first" in capsys.readouterr().err
             (run / "reports" / name).write_text("")
+        assert sorted(p.name for p in run.rglob("*")) == [
+            "reports", "slices.csv", "volumes.csv", "volumes_mm3.json"]
+
+    @pytest.mark.parametrize("name, corrupt, named", [
+        ("slices.csv", lambda text: "".join(line.rsplit(",", 1)[0] + "\n"
+                                            for line in text.splitlines()),
+         ("slices.csv", "is_head_or_tail")),  # the last column dropped
+        ("volumes_mm3.json", lambda text: "{", ("volumes_mm3.json",)),
+        ("volumes_mm3.json", lambda text: text.replace('"pred": [', '"pred": ["x", '),
+         ("volumes_mm3.json", "'x'")),
+        ("volumes.csv", lambda text: text.replace("phantom_000,1.000000,", "phantom_000,abc,"),
+         ("volumes.csv", "dsc", "abc"))],
+        ids=("slices.csv", "volumes_mm3.json", "volumes_mm3.json-values", "volumes.csv"))
+    def test_malformed_eval_table(self, tmp_path, capsys, fabricated_run, name, corrupt,
+                                  named):
+        run = _eval_tables(fabricated_run, tmp_path)
+        path = run / "reports" / name
+        text = path.read_text()
+        path.write_text(corrupt(text))
+        assert path.read_text() != text
+        assert main(["report", "--run", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert all(word in err for word in named), err
+        assert sorted(p.name for p in run.rglob("*")) == [
+            "reports", "slices.csv", "volumes.csv", "volumes_mm3.json"]
+
+    def test_report_that_fails_writes_nothing(self, tmp_path, capsys, fabricated_run):
+        """Every table is computed before any is written: constant predicted
+        volumes fail the agreement table, and no report file appears."""
+        run = _eval_tables(fabricated_run, tmp_path)
+        mm3_path = run / "reports" / "volumes_mm3.json"
+        mm3 = json.loads(mm3_path.read_text())
+        mm3["pred"] = [0.0] * len(mm3["pred"])
+        mm3_path.write_text(json.dumps(mm3))
+        assert main(["report", "--run", str(run)]) == 2
+        assert "predicted volumes are constant" in capsys.readouterr().err
         assert sorted(p.name for p in run.rglob("*")) == [
             "reports", "slices.csv", "volumes.csv", "volumes_mm3.json"]
 

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from pbrseg.errors import ConfigError, DataError, UndefinedMetricError
-from pbrseg.metrics import (AgreementReport, SliceReport, dsc, dsc_histogram,
-                            evaluate_slices, evaluate_volume, hausdorff, iou,
-                            precision, recall, reliability_curve, rmse,
-                            small_target_report, summarize, volume_agreement,
-                            volume_mm3, write_slice_csv, write_volume_csv)
+from pbrseg.metrics import (DSC_BUCKETS, AgreementReport, SliceReport, VolumeReport,
+                            dsc, dsc_histogram, evaluate_slices, evaluate_volume,
+                            hausdorff, iou, precision, read_columns, read_slice_csv,
+                            recall, reliability_curve, rmse, small_target_report,
+                            summarize, volume_agreement, volume_mm3, write_csv)
 from pbrseg.pvol import MaskVolume
 
 
@@ -250,6 +250,22 @@ class TestHistogram:
         h = dsc_histogram(reports, buckets=(0.0, 0.5, 1.0))
         assert h["counts"] == [1, 0]
 
+    def test_counts_follow_the_interval_rule(self):
+        """Each score lands in the one [lo, hi) that holds it, the last
+        interval closed; scores outside every interval land nowhere."""
+        edges = np.asarray(DSC_BUCKETS)
+        near = np.concatenate([np.nextafter(edges, -np.inf), edges,
+                               np.nextafter(edges, np.inf)])
+        scores = np.concatenate([near, np.random.default_rng(5).uniform(-0.1, 1.1, 500)])
+        h = dsc_histogram([SliceReport("v", i, float(s), 1, False)
+                           for i, s in enumerate(scores)])
+        last = len(edges) - 2
+        expect = [sum(1 for s in scores if lo <= s < hi or (j == last and s == hi))
+                  for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))]
+        assert h["counts"] == expect
+        assert all(type(c) is int for c in h["counts"])
+        assert h["total"] == len(scores)
+
 
 class TestReliability:
     def test_all_equal_scores(self):
@@ -380,12 +396,37 @@ class TestSmallTargets:
         for n in (0, -2):
             with pytest.raises(ConfigError):
                 small_target_report(self._reports(), head_tail_n=n)
+        with pytest.raises(ConfigError):  # also with no slices to take a cohort from
+            small_target_report([], head_tail_n=0)
 
     def test_empty_cohorts(self):
         rep = small_target_report([], area_threshold=100)
         assert rep["small"]["count"] == 0
         assert rep["small"]["mean_dsc"] is None
         assert rep["head_tail"]["failed"] == 0
+
+    def test_cohort_is_the_slices_evaluate_slices_flags(self):
+        """One head/tail rule: over random masks, including volumes with no
+        foreground and with a single foreground slice, the cohort is the
+        set of slices evaluate_slices flags."""
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            n = 1 + trial % 4
+            reports = []
+            for v in range(3):
+                depth = int(rng.integers(1, 12))
+                gt = (rng.uniform(size=(depth, 3, 3)) < 0.3).astype(np.uint8)
+                gt[rng.uniform(size=depth) < 0.5] = 0
+                if v == 1:  # no foreground, or foreground on one slice only
+                    gt[:] = 0
+                    if trial % 2:
+                        gt[rng.integers(depth), 1, 1] = 1
+                pred = (rng.uniform(size=gt.shape) < 0.3).astype(np.uint8)
+                reports += evaluate_slices(_mask(pred), _mask(gt), f"v{v}", head_tail_n=n)
+            flagged = [(r.volume_id, r.slice_index) for r in reports if r.is_head_or_tail]
+            cohort = small_target_report(reports, head_tail_n=n)["head_tail"]
+            assert cohort["slices"] == flagged
+            assert cohort["count"] == len(flagged)
 
 
 class TestCsvAndSummary:
@@ -394,7 +435,7 @@ class TestCsvAndSummary:
         gt = _mask([[[1, 0], [0, 0]]])
         rows = [evaluate_volume(pred, gt, "v0", seconds=None)]
         path = tmp_path / "volumes.csv"
-        write_volume_csv(rows, path)
+        write_csv(rows, path, VolumeReport)
         with open(path) as f:
             parsed = list(csv.DictReader(f))
         assert len(parsed) == 1
@@ -406,11 +447,48 @@ class TestCsvAndSummary:
     def test_slice_csv_booleans(self, tmp_path):
         rows = [SliceReport("v", 0, 1.0, 0, False), SliceReport("v", 1, 0.5, 9, True)]
         path = tmp_path / "slices.csv"
-        write_slice_csv(rows, path)
+        write_csv(rows, path, SliceReport)
         with open(path) as f:
             parsed = list(csv.DictReader(f))
         assert [r["is_head_or_tail"] for r in parsed] == ["0", "1"]
         assert parsed[1]["dsc"] == "0.500000"
+
+    def test_header_is_the_dataclass_fields(self, tmp_path):
+        for cls in (VolumeReport, SliceReport):
+            path = tmp_path / "table.csv"
+            write_csv([], path, cls)
+            assert path.read_text().strip() == ",".join(cls.__dataclass_fields__)
+
+    def test_slice_csv_reads_back_what_was_written(self, tmp_path):
+        rng = np.random.default_rng(3)
+        rows = [SliceReport(f"vol_{i % 3}", i, float(rng.uniform()), int(rng.integers(0, 500)),
+                            bool(i % 2)) for i in range(20)]
+        rows.append(SliceReport("v", 20, 1.0, 0, False))
+        path = tmp_path / "slices.csv"
+        write_csv(rows, path, SliceReport)
+        back = read_slice_csv(path)
+        assert back == [SliceReport(r.volume_id, r.slice_index, float(f"{r.dsc:.6f}"),
+                                    r.gt_pixels, r.is_head_or_tail) for r in rows]
+        again = tmp_path / "again.csv"
+        write_csv(back, again, SliceReport)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_read_errors_name_the_file_and_column(self, tmp_path):
+        path = tmp_path / "slices.csv"
+        write_csv([SliceReport("v", 0, 0.5, 3, True)], path, SliceReport)
+        good = path.read_text()
+        for text, column in ((good.replace(",is_head_or_tail", ""), "is_head_or_tail"),
+                             (good.replace("0.500000", "abc"), "dsc"),
+                             (good.replace(",1\n", ",yes\n"), "is_head_or_tail"),
+                             (good.replace("v,0,", "v,0.5,"), "slice_index")):
+            path.write_text(text)
+            with pytest.raises(DataError, match=f"slices.csv: bad or missing {column}"):
+                read_slice_csv(path)
+        path.write_bytes(b"\xff\xfe\x00binary")
+        with pytest.raises(DataError, match="slices.csv is not a CSV table"):
+            read_slice_csv(path)
+        path.write_text(good)
+        assert read_columns(path, {"dsc": float}) == {"dsc": [0.5]}
 
     def test_summarize(self):
         pred = _mask([[[1, 1], [0, 0]]])
