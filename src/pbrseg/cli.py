@@ -69,16 +69,6 @@ def _views_arg(text: str) -> tuple:
     return views
 
 
-_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
-          **dict.fromkeys(("0", "false", "no", "off"), False)}
-
-
-def _config_bool(text: str) -> bool:
-    if text.lower() not in _BOOLS:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a boolean")
-    return _BOOLS[text.lower()]
-
-
 def _ranged(convert, lo, below=float("inf")):
     """Converter for a number in [lo, below)."""
     def parse(text):
@@ -113,7 +103,7 @@ def _discover(data_dir: Path):
 
 
 def _select(data_dir, ids):
-    """(id, volume path, mask) of the volumes the id filter keeps."""
+    """(id, volume path, mask path, mask) of the volumes the id filter keeps."""
     out = []
     for i, (vid, vp, mp) in enumerate(_discover(data_dir)):
         if ids is not None and _id_number(vid, i) not in ids:
@@ -121,19 +111,27 @@ def _select(data_dir, ids):
         m = read_pvol_file(mp)
         if not isinstance(m, MaskVolume):
             raise DataError(f"{mp} does not hold a binary mask")
-        out.append((vid, vp, m))
+        out.append((vid, vp, mp, m))
     if not out:
         raise DataError("id filter matched no volumes")
     return out
 
 
+def _check_grid(a, a_path, b, b_path) -> None:
+    """Refuse two volumes whose voxels do not lie on the same grid."""
+    if a.dims != b.dims or a.spacing != b.spacing:
+        raise DataError(f"{a_path} (dims {a.dims}, spacing {a.spacing}) does not match "
+                        f"{b_path} (dims {b.dims}, spacing {b.spacing})")
+
+
 def _load_pairs(data_dir, ids=None, crop_hw=None):
     """Preprocessed (id, volume, mask) triples, optionally filtered/cropped."""
     pairs = []
-    for vid, vp, m in _select(data_dir, ids):
+    for vid, vp, mp, m in _select(data_dir, ids):
         v = read_pvol_file(vp)
         if isinstance(v, MaskVolume):
             raise DataError(f"{vp} holds a mask, expected intensities")
+        _check_grid(v, vp, m, mp)
         v = preprocess(v)
         if crop_hw is not None:
             v, m = crop(v, m, *crop_hw)
@@ -142,13 +140,13 @@ def _load_pairs(data_dir, ids=None, crop_hw=None):
 
 
 def _load_masks(data_dir, ids=None, crop_hw=None):
-    """(id, mask) pairs cropped as ``_load_pairs`` crops them; the intensity
-    volumes are not read."""
+    """(id, mask path, mask) triples cropped as ``_load_pairs`` crops them;
+    the intensity volumes are not read."""
     masks = []
-    for vid, _, m in _select(data_dir, ids):
+    for vid, _, mp, m in _select(data_dir, ids):
         if crop_hw is not None:
             m = MaskVolume(m.data[crop_box(m, *crop_hw)].copy(), m.spacing)
-        masks.append((vid, m))
+        masks.append((vid, mp, m))
     return masks
 
 
@@ -179,7 +177,7 @@ def _machine() -> dict:
 def _write_manifest(outdir: Path, command: str, args, digests: dict) -> None:
     cfg = {}
     for k, v in sorted(vars(args).items()):
-        if k in ("func", "config"):
+        if k == "func":
             continue
         if isinstance(v, Path):
             v = str(v)
@@ -271,11 +269,14 @@ def _check_trained_views(run: Path, name: str, digest: str, views) -> None:
     records for the checkpoint with this digest; with no such record nothing
     is checked."""
     path = Path(run) / "manifest_train_primary.json"
-    manifest = json.loads(path.read_text()) if path.exists() else {}
-    config = manifest.get("config", {})
-    trained = set(config.get("views", ()))
-    if (manifest.get("checkpoints", {}).get(name) == digest
-            and not config.get("teacher_forced") and trained != set(views)):
+    try:
+        manifest = json.loads(path.read_text()) if path.exists() else {}
+        config = manifest.get("config", {})
+        trained = set(config.get("views", ()))
+        recorded = manifest.get("checkpoints", {}).get(name)
+    except (OSError, ValueError, AttributeError, TypeError) as e:
+        raise DataError(f"malformed {path}: {e!r}") from None
+    if recorded == digest and not config.get("teacher_forced") and trained != set(views):
         raise ConfigError(f"{name}.pbrw was trained on views {sorted(trained)}, "
                           f"not on {sorted(set(views))}")
 
@@ -316,13 +317,14 @@ def cmd_infer(args) -> int:
 
 def _eval_set(masks, pred_dir: Path, prefix: str):
     vol_reports, slice_reports, mm3 = [], [], {"ids": [], "pred": [], "gt": []}
-    for vid, gt in masks:
+    for vid, gt_path, gt in masks:
         pred_path = Path(pred_dir) / f"{prefix}{vid}.pvol"
         if not pred_path.exists():
             raise DataError(f"missing prediction {pred_path}")
         pred = read_pvol_file(pred_path)
         if not isinstance(pred, MaskVolume):
             raise DataError(f"{pred_path} does not hold a binary mask")
+        _check_grid(pred, pred_path, gt, gt_path)
         vol_reports.append(evaluate_volume(pred, gt, volume_id=vid))
         slice_reports.extend(evaluate_slices(pred, gt, volume_id=vid))
         mm3["ids"].append(vid)
@@ -336,7 +338,7 @@ def cmd_eval(args) -> int:
     masks = _load_masks(args.data, args.ids, args.crop)
     scored = []  # every prediction is read before reports/ is created
     for prefix, tag in (("pred_", ""), ("pred_init_", "_init")):
-        if tag and not any((pred_dir / f"{prefix}{vid}.pvol").exists() for vid, _ in masks):
+        if tag and not any((pred_dir / f"{prefix}{vid}.pvol").exists() for vid, _, _ in masks):
             continue
         scored.append((tag, _eval_set(masks, pred_dir, prefix)))
     out = _run_dir(args.run, "reports")
@@ -382,135 +384,86 @@ def cmd_report(args) -> int:
 
 # -- parser -----------------------------------------------------------------
 
-def build_parser() -> tuple:
-    """The argument parser, plus the table a config file is checked against:
-    each option's dest -> (value parser, choices, the actions that define it)."""
-    options = {}
-
-    def add(p, flag, **kw):
-        action = p.add_argument(flag, **kw)
-        convert = _config_bool if kw.get("action") == "store_true" else kw.get("type", str)
-        options.setdefault(action.dest, (convert, kw.get("choices"), []))[2].append(action)
-
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pbrseg",
                                      description="probabilistic-map guided "
                                                  "recurrent volume segmentation")
-    add(parser, "--config", type=Path, default=None,
-        help="flat key=value file; command-line flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("phantom", help="generate a synthetic dataset")
-    add(p, "--out", type=Path, required=True)
-    add(p, "--count", type=_ranged(int, 0), default=20)
-    add(p, "--seed", type=int, default=0)
-    add(p, "--dims", type=_dims, default=(32, 64, 64))
-    add(p, "--contrast", type=float, default=90.0)
-    add(p, "--noise", type=float, default=18.0)
-    add(p, "--distractors", type=_ranged(int, 0), default=3)
-    add(p, "--min-radius", type=float, default=1.6)
-    add(p, "--max-radius", type=float, default=12.0)
-    add(p, "--taper", type=int, default=6)
+    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--count", type=_ranged(int, 0), default=20)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--dims", type=_dims, default=(32, 64, 64))
+    p.add_argument("--contrast", type=float, default=90.0)
+    p.add_argument("--noise", type=float, default=18.0)
+    p.add_argument("--distractors", type=_ranged(int, 0), default=3)
+    p.add_argument("--min-radius", type=float, default=1.6)
+    p.add_argument("--max-radius", type=float, default=12.0)
+    p.add_argument("--taper", type=int, default=6)
     p.set_defaults(func=cmd_phantom)
 
     def common(p):
-        add(p, "--data", type=Path, required=True)
-        add(p, "--run", type=Path, required=True)
-        add(p, "--ids", type=_ids, default=None,
-            help="volume numbers, e.g. 0-15 or 3,7,9")
-        add(p, "--crop", type=_crop_hw, default=None, help="h,w")
+        p.add_argument("--data", type=Path, required=True)
+        p.add_argument("--run", type=Path, required=True)
+        p.add_argument("--ids", type=_ids, default=None,
+                       help="volume numbers, e.g. 0-15 or 3,7,9")
+        p.add_argument("--crop", type=_crop_hw, default=None, help="h,w")
 
     def training(p):
         common(p)
-        add(p, "--seed", type=int, default=0)
-        add(p, "--patience", type=_ranged(int, 1), default=20)
-        add(p, "--val-fraction", type=_ranged(float, 0, below=1), default=0.01)
-        add(p, "--augment", action="store_true")
-        add(p, "--base-width", type=int, default=8)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--patience", type=_ranged(int, 1), default=20)
+        p.add_argument("--val-fraction", type=_ranged(float, 0, below=1), default=0.01)
+        p.add_argument("--augment", action="store_true")
+        p.add_argument("--base-width", type=int, default=8)
 
     p = sub.add_parser("train-init", help="train per-view estimation nets")
     training(p)
-    add(p, "--views", type=_views_arg, default=("axial",))
-    add(p, "--sgd-epochs", type=_ranged(int, 0), default=3)
-    add(p, "--adam-epochs", type=_ranged(int, 0), default=5)
-    add(p, "--sgd-lr", type=_ranged(float, 0), default=5e-3)
-    add(p, "--adam-lr", type=_ranged(float, 0), default=1e-4)
+    p.add_argument("--views", type=_views_arg, default=("axial",))
+    p.add_argument("--sgd-epochs", type=_ranged(int, 0), default=3)
+    p.add_argument("--adam-epochs", type=_ranged(int, 0), default=5)
+    p.add_argument("--sgd-lr", type=_ranged(float, 0), default=5e-3)
+    p.add_argument("--adam-lr", type=_ranged(float, 0), default=1e-4)
     p.set_defaults(func=cmd_train_init)
 
     p = sub.add_parser("train-primary", help="train the refinement net")
     training(p)
-    add(p, "--views", type=_views_arg, default=("axial",))
-    add(p, "--depth", type=int, default=1, choices=(1, 2, 3))
-    add(p, "--epochs", type=_ranged(int, 0), default=6)
-    add(p, "--lr", type=_ranged(float, 0), default=5e-4)
-    add(p, "--teacher-forced", action="store_true")
+    p.add_argument("--views", type=_views_arg, default=("axial",))
+    p.add_argument("--depth", type=int, default=1, choices=(1, 2, 3))
+    p.add_argument("--epochs", type=_ranged(int, 0), default=6)
+    p.add_argument("--lr", type=_ranged(float, 0), default=5e-4)
+    p.add_argument("--teacher-forced", action="store_true")
     p.set_defaults(func=cmd_train_primary)
 
     p = sub.add_parser("infer", help="run refinement inference")
     common(p)
-    add(p, "--views", type=_views_arg, default=("axial",))
-    add(p, "--depth", type=int, default=1, choices=(1, 2, 3))
-    add(p, "--threshold", type=float, default=0.5)
-    add(p, "--sweeps", choices=("both", "forward"), default="both")
+    p.add_argument("--views", type=_views_arg, default=("axial",))
+    p.add_argument("--depth", type=int, default=1, choices=(1, 2, 3))
+    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--sweeps", choices=("both", "forward"), default="both")
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
     common(p)
-    add(p, "--pred", type=Path, default=None,
-        help="directory of pred_<id>.pvol files (default run/volumes)")
+    p.add_argument("--pred", type=Path, default=None,
+                   help="directory of pred_<id>.pvol files (default run/volumes)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("report", help="histograms, reliability, agreement tables")
-    add(p, "--run", type=Path, required=True)
-    add(p, "--area-threshold", type=_ranged(int, 0), default=300)
-    add(p, "--head-tail-n", type=_ranged(int, 1), default=3)
+    p.add_argument("--run", type=Path, required=True)
+    p.add_argument("--area-threshold", type=_ranged(int, 0), default=300)
+    p.add_argument("--head-tail-n", type=_ranged(int, 1), default=3)
     p.set_defaults(func=cmd_report)
-    return parser, options
-
-
-def _apply_config_file(options, argv):
-    """Config precedence: command line > config file > built-in defaults."""
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config", type=Path, default=None)
-    known, _ = probe.parse_known_args(argv)
-    if known.config is None:
-        return
-    path = Path(known.config)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
-    values = {}
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"bad config line {line!r} (expected key=value)")
-        key, val = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = val.strip()
-
-    for key, val in values.items():
-        if key not in options:
-            raise ConfigError(f"unknown config key {key!r}")
-        convert, choices, actions = options[key]
-        try:
-            value = convert(val)
-        except (ValueError, argparse.ArgumentTypeError) as e:
-            raise ConfigError(f"bad config value for {key}: {e}")
-        if choices is not None and value not in choices:
-            raise ConfigError(f"bad config value for {key}: {value!r} is not one of "
-                              f"{', '.join(map(str, choices))}")
-        for action in actions:  # a value from the file satisfies a required flag
-            action.default, action.required = value, False
+    return parser
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser, options = build_parser()
     try:
-        _apply_config_file(options, argv)
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as e:
-            return 0 if (e.code or 0) == 0 else 1
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        return 0 if (e.code or 0) == 0 else 1
+    try:
         return args.func(args) or 0
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

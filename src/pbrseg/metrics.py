@@ -302,13 +302,16 @@ _PARSE = {"str": str, "int": int, "float": float,  # by field annotation, a stri
 
 def read_columns(path, parsers: dict) -> dict:
     """The named columns of a CSV file, each value parsed by its column's
-    function. A missing column or a bad value is a DataError that names
-    the file and the column."""
+    function. A missing header row, a missing column or a bad value is a
+    DataError that names the file (and the column)."""
     with open(path, newline="") as f:
         try:
-            rows = list(csv.DictReader(f))
+            reader = csv.DictReader(f)
+            rows = list(reader)
         except (UnicodeDecodeError, csv.Error) as e:
             raise DataError(f"{path} is not a CSV table: {e}") from None
+        if reader.fieldnames is None:
+            raise DataError(f"{path} has no header row")
     columns = {}
     for name, parse in parsers.items():
         try:

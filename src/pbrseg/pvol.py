@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MagicError, SchemaError, TruncationError
+from .errors import DataError, MagicError, SchemaError, TruncationError
 
 MAGIC = b"PVOL"
 VERSION = 1
@@ -36,6 +36,13 @@ def _check_dims(data: np.ndarray) -> None:
         raise SchemaError(f"volume dims must all be >= 1, got {data.shape}")
 
 
+def _check_spacing(spacing) -> Spacing:
+    spacing = tuple(float(s) for s in spacing)
+    if len(spacing) != 3 or not all(0 < s < np.inf for s in spacing):  # NaN fails too
+        raise SchemaError(f"voxel spacing must be 3 finite values above 0, got {spacing}")
+    return spacing
+
+
 @dataclass
 class Volume:
     """Real-valued 3-D scalar field with voxel spacing in mm."""
@@ -50,7 +57,7 @@ class Volume:
             self.data = self.data.astype(np.float32)
         if not np.all(np.isfinite(self.data)):
             raise SchemaError("volume intensities must all be finite")
-        self.spacing = tuple(float(s) for s in self.spacing)
+        self.spacing = _check_spacing(self.spacing)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -71,7 +78,7 @@ class MaskVolume:
         if not np.isin(vals, (0, 1)).all():
             raise SchemaError(f"mask labels must be 0/1, found values {vals[:8]}")
         self.data = self.data.astype(np.uint8)
-        self.spacing = tuple(float(s) for s in self.spacing)
+        self.spacing = _check_spacing(self.spacing)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -96,7 +103,7 @@ class ProbVolume:
         lo, hi = float(self.data.min()), float(self.data.max())
         if not (np.isfinite(lo) and np.isfinite(hi)) or lo < 0.0 or hi > 1.0:
             raise SchemaError(f"probabilities must lie in [0,1], found range [{lo}, {hi}]")
-        self.spacing = tuple(float(s) for s in self.spacing)
+        self.spacing = _check_spacing(self.spacing)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -152,8 +159,15 @@ def read_pvol(data: bytes) -> Volume | MaskVolume:
 
 
 def read_pvol_file(path) -> Volume | MaskVolume:
-    with open(path, "rb") as f:
-        return read_pvol(f.read())
+    """``read_pvol`` of a file; a file that cannot be read or parsed is a
+    DataError that names it."""
+    try:
+        with open(path, "rb") as f:
+            return read_pvol(f.read())
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e.strerror}") from None
+    except DataError as e:
+        raise type(e)(f"{path}: {e}") from None
 
 
 def write_pvol_file(path, v: Volume | MaskVolume | ProbVolume) -> None:

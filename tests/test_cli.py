@@ -1,12 +1,17 @@
-"""Command-line interface: exit codes, config precedence, manifests, and
+"""Command-line interface: exit codes, the data contract, manifests, and
 an end-to-end pipeline smoke on tiny phantoms."""
 
 import argparse
 import csv
 import hashlib
 import json
+import os
 import shutil
+import struct
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +41,13 @@ def _untrained_run(tmp_path, dims=(22, 48, 48)):
     return data, run
 
 
+def _respace(path, spacing):
+    """Overwrite a PVOL file's spacing field (bytes 21-33), past the checks
+    a volume makes."""
+    raw = path.read_bytes()
+    path.write_bytes(raw[:21] + struct.pack("<3f", *spacing) + raw[33:])
+
+
 def _eval_tables(fabricated_run, tmp_path):
     """A run holding only the three tables that report reads, copied from
     the fabricated run."""
@@ -53,6 +65,8 @@ class TestExitCodes:
 
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 1
+        assert main(["infer"]) == 1
+        assert "required" in capsys.readouterr().err
 
     def test_unknown_flag(self, tmp_path, capsys):
         assert main(["phantom", "--out", str(tmp_path), "--bogus"]) == 1
@@ -129,6 +143,8 @@ class TestExitCodes:
         where = ["--data", str(data), "--run", str(run)]
         no_epochs = ["--base-width", "2", "--sgd-epochs", "0", "--adam-epochs", "0"]
         for argv in (["train-init", *no_epochs, "--val-fraction", "-0.5"],
+                     ["train-init", *no_epochs, "--val-fraction", "1.0"],
+                     ["train-primary", "--base-width", "2", "--epochs", "0", "--depth", "7"],
                      ["train-init", "--base-width", "2", "--adam-epochs", "0",
                       "--sgd-epochs", "-1"],
                      ["train-primary", "--base-width", "2", "--epochs", "-2"],
@@ -140,17 +156,12 @@ class TestExitCodes:
                       "--patience", "-4"]):
             assert main([*argv, *where]) == 1, argv
             assert argv[-2] in capsys.readouterr().err
-        cfg = tmp_path / "run.cfg"
-        for text in ("patience = 0", "lr = -1"):  # a config file goes through the same ranges
-            cfg.write_text(text + "\n")
-            assert main(["--config", str(cfg), "train-primary", *where, "--base-width", "2",
-                         "--epochs", "0"]) == 1, text
-            assert f"bad config value for {text.split()[0]}" in capsys.readouterr().err
         assert sorted(p.name for p in run.iterdir()) == ["checkpoints"]
         assert not (run / "volumes" / "pred_phantom_000.pvol").exists()
         out = ["--out", str(tmp_path / "phantoms")]
         scored = ["--run", str(fabricated_run[1])]
         for argv in (["phantom", *out, "--count", "-2"],
+                     ["phantom", *out, "--count", "many"],
                      ["phantom", *out, "--count", "1", "--distractors", "-1"],
                      ["report", *scored, "--head-tail-n", "0"],
                      ["report", *scored, "--head-tail-n", "-1"],
@@ -229,79 +240,63 @@ class TestExitCodes:
             build_unet(UNetConfig(3, base_width=2), seed=1).save())
         assert main(["infer", *where, "--views", "axial"]) == 0
 
-    def test_missing_config_file(self, tmp_path, capsys):
-        assert main(["--config", str(tmp_path / "none.cfg"),
-                     "phantom", "--out", str(tmp_path)]) == 1
+    def test_config_flag_is_gone(self, tmp_path, capsys):
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text("count = 1\n")
+        assert main(["--config", str(cfg), "phantom", "--out", str(tmp_path / "d")]) == 1
+        assert "x.cfg" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.cfg"]
 
-
-class TestConfigFile:
-    def test_defaults_then_file_then_flags(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("count=2\nnoise=0.0\n")
-        out1 = tmp_path / "a"
-        assert main(["--config", str(cfg), "phantom", "--out", str(out1)]) == 0
-        assert len(list(out1.glob("phantom_*.pvol"))) == 4  # 2 volumes + 2 masks
-
-        out2 = tmp_path / "b"
-        assert main(["--config", str(cfg), "phantom", "--out", str(out2),
-                     "--count", "1"]) == 0
-        assert len(list(out2.glob("phantom_*.pvol"))) == 2  # flag beat the file
-
-    def test_unknown_key(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("holes=7\n")
-        assert main(["--config", str(cfg), "phantom", "--out", str(tmp_path)]) == 1
+    @pytest.mark.parametrize("target, corrupt, command, named", [
+        ("data/phantom_000_mask.pvol",  # a 40-row mask for a 48-row volume
+         lambda path: write_pvol_file(path, MaskVolume(read_pvol_file(path).data[:, :40])),
+         "train-init", ("phantom_000.pvol", "phantom_000_mask.pvol")),
+        ("data/phantom_000_mask.pvol", lambda path: _respace(path, (1, float("nan"), 1)),
+         "eval", ("phantom_000_mask.pvol",)),
+        ("data/phantom_000_mask.pvol", lambda path: _respace(path, (-1, 1, 1)),
+         "eval", ("phantom_000_mask.pvol",)),
+        ("data/phantom_000_mask.pvol", lambda path: _respace(path, (1, 1, 0)),
+         "eval", ("phantom_000_mask.pvol",)),
+        ("data/phantom_000_mask.pvol", lambda path: (path.unlink(), path.mkdir()),
+         "eval", ("phantom_000_mask.pvol",)),
+        ("preds/pred_phantom_000.pvol", lambda path: _respace(path, (2, 1, 1)),
+         "eval", ("pred_phantom_000.pvol", "phantom_000_mask.pvol")),
+        ("run/manifest_train_primary.json", lambda path: path.write_text("{"),
+         "infer", ("manifest_train_primary.json",)),
+        ("run/manifest_train_primary.json", lambda path: path.write_text("[]"),
+         "infer", ("manifest_train_primary.json",)),
+        ("run/manifest_train_primary.json", lambda path: path.mkdir(),
+         "infer", ("manifest_train_primary.json",)),
+        ("run/reports/slices.csv", lambda path: path.write_text(""),
+         "report", ("slices.csv",))],
+        ids=("shifted-mask", "nan-spacing", "negative-spacing", "zero-spacing", "mask-dir",
+             "pred-spacing", "manifest-brace", "manifest-list", "manifest-dir",
+             "empty-slices"))
+    def test_data_contract(self, tmp_path, fabricated_run, target, corrupt, command, named):
+        """Inputs that disagree with each other, or carry a spacing that is
+        not finite and above 0, exit 2 with a message naming the file, not
+        with a traceback or a run that silently means something else."""
         data, run = _untrained_run(tmp_path)
-        cfg.write_text("workers = 2\n")
-        assert main(["--config", str(cfg), "infer", "--data", str(data),
-                     "--run", str(run)]) == 1
-        assert "'workers'" in capsys.readouterr().err
-        assert not (run / "volumes" / "pred_phantom_000.pvol").exists()
-
-    def test_bad_value(self, tmp_path, capsys):
-        data, run = _untrained_run(tmp_path)
-        where = ["--data", str(data), "--run", str(run), "--base-width", "2"]
-        cfg = tmp_path / "run.cfg"
-        for text, argv in (("count=many", ["phantom", "--out", str(tmp_path / "out")]),
-                           ("depth = 7", ["train-primary", *where, "--epochs", "0"]),
-                           ("val-fraction = 1.0", ["train-init", *where, "--sgd-epochs", "0",
-                                                   "--adam-epochs", "0"])):
-            cfg.write_text(text + "\n")
-            assert main(["--config", str(cfg), *argv]) == 1, text
-            assert text.split("=")[0].strip().replace("-", "_") in capsys.readouterr().err
-        assert not (run / "checkpoints" / "primary_d7.pbrw").exists()
-
-    def test_bad_boolean(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("augment = ture\n")
-        code = main(["--config", str(cfg), "train-init", "--data", str(tmp_path),
-                     "--run", str(tmp_path / "run")])
-        assert code == 1
-        assert "augment" in capsys.readouterr().err
-
-    def test_required_options_from_file(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        out = tmp_path / "out"
-        cfg.write_text(f"out = {out}\n")
-        assert main(["--config", str(cfg), "phantom", "--count", "1",
-                     "--dims", "22,48,48"]) == 0
-        assert (out / "phantom_000.pvol").exists()
-
-        data, run = _untrained_run(tmp_path)
-        cfg.write_text(f"data = {data}\nrun = {run}\n")
-        assert main(["--config", str(cfg), "infer"]) == 0
-        assert (run / "volumes" / "pred_phantom_000.pvol").exists()
-        # without the file the flags are still required
-        assert main(["infer"]) == 1
-        assert "required" in capsys.readouterr().err
-
-    def test_comments_and_blanks_ok(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# tiny dataset\n\ncount=1\ndims=22,48,48\n")
-        out = tmp_path / "out"
-        assert main(["--config", str(cfg), "phantom", "--out", str(out)]) == 0
-        v = read_pvol_file(out / "phantom_000.pvol")
-        assert v.dims == (22, 48, 48)
+        _eval_tables(fabricated_run, tmp_path)
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        for prefix in ("pred_", "pred_init_"):
+            shutil.copy(data / "phantom_000_mask.pvol", preds / f"{prefix}phantom_000.pvol")
+        corrupt(tmp_path / target)
+        where = ["--data", str(data), "--run", str(run)]
+        argv = {"train-init": ["train-init", *where, "--base-width", "2", "--sgd-epochs", "0",
+                               "--adam-epochs", "0"],
+                "eval": ["eval", *where, "--pred", str(preds)],
+                "infer": ["infer", *where],
+                "report": ["report", "--run", str(run)]}[command]
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from pbrseg.cli import main; "
+                                   "sys.exit(main(sys.argv[1:]))", *argv],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        assert all(name in done.stderr for name in named), done.stderr
 
 
 class TestPhantomCommand:

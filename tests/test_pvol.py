@@ -111,6 +111,14 @@ def test_volume_rejects_wrong_rank():
         Volume(np.zeros((2, 2), dtype=np.float32))
 
 
+@pytest.mark.parametrize("spacing", [(1, float("nan"), 1), (1, 1, float("inf")), (-1, 1, 1),
+                                     (1, 0, 1), (1, 1)])
+def test_spacing_must_be_three_finite_values_above_zero(spacing):
+    for cls in (Volume, MaskVolume, ProbVolume):
+        with pytest.raises(SchemaError, match="spacing"):
+            cls(np.zeros((2, 3, 4), dtype=np.float32), spacing)
+
+
 def test_prob_volume_range_validation():
     with pytest.raises(SchemaError):
         ProbVolume(np.full((1, 2, 2), 1.5, dtype=np.float32))

@@ -192,7 +192,7 @@ def test_write_train_log(tmp_path, blob_data):
 
 def test_schedules():
     # the CLI's default epoch budget stays desk-sized: <= 30+40 and <= 50 epochs
-    parser, _ = build_parser()
+    parser = build_parser()
     where = ["--data", "d", "--run", "r"]
     init = parser.parse_args(["train-init", *where])
     assert init.sgd_epochs <= 30 and init.adam_epochs <= 40
