@@ -82,6 +82,8 @@ def load_checkpoint(data: bytes) -> Checkpoint:
     version, in_channels, base_width, count = r.unpack("<IIII")
     if version != VERSION:
         raise SchemaError(f"unsupported checkpoint version {version}")
+    if in_channels < 1 or base_width < 1:
+        raise SchemaError(f"no net has {in_channels} input channels and base width {base_width}")
     params: dict = {}
     for i in range(count):
         (name_len,) = r.unpack("<H")

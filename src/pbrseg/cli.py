@@ -16,7 +16,7 @@ import scipy
 
 from . import __version__, parallel
 from .checkpoint import checkpoint_digest
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, read_input
 from .hybrid import SweepConfig, binarize, infer_pbr
 from .metrics import (SliceReport, VolumeReport, dsc_histogram, evaluate_slices,
                       evaluate_volume, read_columns, read_slice_csv, reliability_curve,
@@ -87,33 +87,26 @@ def _id_number(vid: str, fallback: int) -> int:
 
 # -- dataset discovery ------------------------------------------------------
 
-def _discover(data_dir: Path):
+def _select(data_dir, ids):
+    """(id, volume path, mask path, mask) of the volume/mask pairs under
+    data_dir that the id filter keeps."""
     data_dir = Path(data_dir)
     if not data_dir.is_dir():
         raise DataError(f"data directory {data_dir} does not exist")
     out = []
-    for mp in sorted(data_dir.glob("*_mask.pvol")):
+    for i, mp in enumerate(sorted(data_dir.glob("*_mask.pvol"))):
         vp = mp.with_name(mp.name.replace("_mask.pvol", ".pvol"))
         if not vp.exists():
             raise DataError(f"mask {mp.name} has no matching volume file")
-        out.append((vp.stem, vp, mp))
-    if not out:
-        raise DataError(f"no volume/mask pairs under {data_dir}")
-    return out
-
-
-def _select(data_dir, ids):
-    """(id, volume path, mask path, mask) of the volumes the id filter keeps."""
-    out = []
-    for i, (vid, vp, mp) in enumerate(_discover(data_dir)):
-        if ids is not None and _id_number(vid, i) not in ids:
+        if ids is not None and _id_number(vp.stem, i) not in ids:
             continue
         m = read_pvol_file(mp)
         if not isinstance(m, MaskVolume):
             raise DataError(f"{mp} does not hold a binary mask")
-        out.append((vid, vp, mp, m))
+        out.append((vp.stem, vp, mp, m))
     if not out:
-        raise DataError("id filter matched no volumes")
+        raise DataError(f"no volume/mask pairs under {data_dir}"
+                        + ("" if ids is None else " match --ids"))
     return out
 
 
@@ -189,10 +182,9 @@ def _write_manifest(outdir: Path, command: str, args, digests: dict) -> None:
     _write_json(Path(outdir) / f"manifest_{command.replace('-', '_')}.json", manifest)
 
 
-def _read_checkpoint(path: Path) -> bytes:
-    if not path.exists():
-        raise DataError(f"missing checkpoint {path}")
-    return path.read_bytes()
+def _load_net(path: Path) -> tuple:
+    """The net a checkpoint file holds, and the file's digest."""
+    return read_input(path, lambda blob: (UNet.load(blob), checkpoint_digest(blob)))
 
 
 def _load_init_nets(ckpt_dir: Path, views) -> tuple:
@@ -200,9 +192,7 @@ def _load_init_nets(ckpt_dir: Path, views) -> tuple:
     ``init_<view>`` as in the manifests."""
     nets, digests = {}, {}
     for view in views:
-        blob = _read_checkpoint(Path(ckpt_dir) / f"init_{view}.pbrw")
-        nets[view] = UNet.load(blob)
-        digests[f"init_{view}"] = checkpoint_digest(blob)
+        nets[view], digests[f"init_{view}"] = _load_net(Path(ckpt_dir) / f"init_{view}.pbrw")
     return nets, digests
 
 
@@ -269,12 +259,12 @@ def _check_trained_views(run: Path, name: str, digest: str, views) -> None:
     records for the checkpoint with this digest; with no such record nothing
     is checked."""
     path = Path(run) / "manifest_train_primary.json"
+    manifest = read_input(path, json.loads) if path.exists() else {}
     try:
-        manifest = json.loads(path.read_text()) if path.exists() else {}
         config = manifest.get("config", {})
         trained = set(config.get("views", ()))
         recorded = manifest.get("checkpoints", {}).get(name)
-    except (OSError, ValueError, AttributeError, TypeError) as e:
+    except (AttributeError, TypeError) as e:
         raise DataError(f"malformed {path}: {e!r}") from None
     if recorded == digest and not config.get("teacher_forced") and trained != set(views):
         raise ConfigError(f"{name}.pbrw was trained on views {sorted(trained)}, "
@@ -285,11 +275,9 @@ def cmd_infer(args) -> int:
     ckpt_dir = Path(args.run) / "checkpoints"
     init_nets, digests = _load_init_nets(ckpt_dir, args.views)
     primary_path = ckpt_dir / f"primary_d{args.depth}.pbrw"
-    primary_blob = _read_checkpoint(primary_path)
-    digests["primary"] = checkpoint_digest(primary_blob)
-    _check_trained_views(args.run, primary_path.stem, digests["primary"], args.views)
     # train=False forwards keep no state, so every pool thread can share one net
-    net = UNet.load(primary_blob)
+    net, digests["primary"] = _load_net(primary_path)
+    _check_trained_views(args.run, primary_path.stem, digests["primary"], args.views)
     config = SweepConfig(args.depth, args.threshold, args.sweeps)
     pairs = _load_pairs(args.data, args.ids, args.crop)
     out = _run_dir(args.run, "volumes")
@@ -319,8 +307,6 @@ def _eval_set(masks, pred_dir: Path, prefix: str):
     vol_reports, slice_reports, mm3 = [], [], {"ids": [], "pred": [], "gt": []}
     for vid, gt_path, gt in masks:
         pred_path = Path(pred_dir) / f"{prefix}{vid}.pvol"
-        if not pred_path.exists():
-            raise DataError(f"missing prediction {pred_path}")
         pred = read_pvol_file(pred_path)
         if not isinstance(pred, MaskVolume):
             raise DataError(f"{pred_path} does not hold a binary mask")
@@ -358,11 +344,14 @@ def cmd_report(args) -> int:
             raise DataError(f"missing {reports / name}: run eval first")
     volume_dscs = read_columns(reports / "volumes.csv", {"dsc": float})["dsc"]
     slice_reports = read_slice_csv(reports / "slices.csv")
+    mm3_path = reports / "volumes_mm3.json"
+    mm3 = read_input(mm3_path, json.loads)
     try:
-        mm3 = json.loads((reports / "volumes_mm3.json").read_text())
         pred_mm3, gt_mm3 = ([float(v) for v in mm3[key]] for key in ("pred", "gt"))
     except (ValueError, KeyError, TypeError) as e:
-        raise DataError(f"malformed {reports / 'volumes_mm3.json'}: {e!r}") from None
+        raise DataError(f"malformed {mm3_path}: {e!r}") from None
+    if len(pred_mm3) != len(gt_mm3):
+        raise DataError(f"{mm3_path}: {len(pred_mm3)} pred but {len(gt_mm3)} gt volumes")
 
     # every table is computed before the first is written, so a report that fails leaves none
     histogram = dsc_histogram([r for r in slice_reports if r.gt_pixels > 0])

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its one checked file read.
 
 The CLI maps these onto exit codes: configuration errors -> 1,
 data/format errors -> 2, numerical failures -> 3.
@@ -35,3 +35,16 @@ class UndefinedMetricError(DataError):
 
 class NumericalError(PbrsegError):
     """Non-finite values encountered during optimization."""
+
+
+def read_input(path, parse):
+    """``parse`` of a file's bytes. A file that cannot be read, or whose bytes
+    ``parse`` refuses with a DataError or a ValueError, is a DataError naming it."""
+    try:
+        with open(path, "rb") as f:
+            return parse(f.read())
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e.strerror}") from None
+    except (DataError, ValueError) as e:  # a ValueError: text or JSON that does not parse
+        kind = type(e) if isinstance(e, DataError) else DataError
+        raise kind(f"{path}: {e}") from None

@@ -4,13 +4,14 @@ reliability curves, volume-agreement statistics, small-target cohorts."""
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ConfigError, DataError, UndefinedMetricError
+from .errors import ConfigError, DataError, UndefinedMetricError, read_input
 from .pvol import MaskVolume
 
 DSC_BUCKETS = (0.0, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -304,21 +305,22 @@ def read_columns(path, parsers: dict) -> dict:
     """The named columns of a CSV file, each value parsed by its column's
     function. A missing header row, a missing column or a bad value is a
     DataError that names the file (and the column)."""
-    with open(path, newline="") as f:
+    def parse(data: bytes) -> dict:
         try:
-            reader = csv.DictReader(f)
+            reader = csv.DictReader(io.StringIO(data.decode("utf-8"), newline=""))
             rows = list(reader)
         except (UnicodeDecodeError, csv.Error) as e:
-            raise DataError(f"{path} is not a CSV table: {e}") from None
+            raise DataError(f"not a CSV table: {e}") from None
         if reader.fieldnames is None:
-            raise DataError(f"{path} has no header row")
-    columns = {}
-    for name, parse in parsers.items():
-        try:
-            columns[name] = [parse(row[name]) for row in rows]
-        except (KeyError, TypeError, ValueError) as e:
-            raise DataError(f"{path}: bad or missing {name} column: {e}") from None
-    return columns
+            raise DataError("no header row")
+        columns = {}
+        for name, parse_value in parsers.items():
+            try:
+                columns[name] = [parse_value(row[name]) for row in rows]
+            except (KeyError, TypeError, ValueError) as e:
+                raise DataError(f"bad or missing {name} column: {e}") from None
+        return columns
+    return read_input(path, parse)
 
 
 def read_slice_csv(path) -> list:

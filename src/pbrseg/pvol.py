@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, MagicError, SchemaError, TruncationError
+from .errors import MagicError, SchemaError, TruncationError, read_input
 
 MAGIC = b"PVOL"
 VERSION = 1
@@ -159,15 +159,8 @@ def read_pvol(data: bytes) -> Volume | MaskVolume:
 
 
 def read_pvol_file(path) -> Volume | MaskVolume:
-    """``read_pvol`` of a file; a file that cannot be read or parsed is a
-    DataError that names it."""
-    try:
-        with open(path, "rb") as f:
-            return read_pvol(f.read())
-    except OSError as e:
-        raise DataError(f"cannot read {path}: {e.strerror}") from None
-    except DataError as e:
-        raise type(e)(f"{path}: {e}") from None
+    """``read_pvol`` of a file, through ``read_input``."""
+    return read_input(path, read_pvol)
 
 
 def write_pvol_file(path, v: Volume | MaskVolume | ProbVolume) -> None:

@@ -71,6 +71,16 @@ def test_bad_version():
         load_checkpoint(bytes(blob))
 
 
+@pytest.mark.parametrize("in_channels, base_width", [(0, 8), (1, 0), (0, 0)])
+def test_header_no_net_can_take(in_channels, base_width):
+    """A header below 1 channel or width is refused where the file is
+    parsed, not later by the network's config check."""
+    blob = save_checkpoint({"w": np.zeros(2, dtype=np.float32)}, in_channels, base_width)
+    with pytest.raises(SchemaError, match=f"{in_channels} input channels and base width "
+                                          f"{base_width}"):
+        load_checkpoint(blob)
+
+
 def test_duplicate_name():
     one = {"w": np.zeros(2, dtype=np.float32)}
     blob = bytearray(save_checkpoint(one, 1, 8))

@@ -41,11 +41,30 @@ def _untrained_run(tmp_path, dims=(22, 48, 48)):
     return data, run
 
 
+def _patch(path, offset, raw):
+    """Overwrite a file's bytes from offset on, past the checks its writer makes."""
+    old = path.read_bytes()
+    path.write_bytes(old[:offset] + raw + old[offset + len(raw):])
+
+
 def _respace(path, spacing):
-    """Overwrite a PVOL file's spacing field (bytes 21-33), past the checks
-    a volume makes."""
-    raw = path.read_bytes()
-    path.write_bytes(raw[:21] + struct.pack("<3f", *spacing) + raw[33:])
+    """Overwrite a PVOL file's spacing field (bytes 21-33)."""
+    _patch(path, 21, struct.pack("<3f", *spacing))
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-7])
+
+
+def _as_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+def _drop_last_gt(path):
+    """Cut the last reference volume from a volumes_mm3.json."""
+    mm3 = json.loads(path.read_text())
+    path.write_text(json.dumps({**mm3, "gt": mm3["gt"][:-1]}))
 
 
 def _eval_tables(fabricated_run, tmp_path):
@@ -257,8 +276,7 @@ class TestExitCodes:
          "eval", ("phantom_000_mask.pvol",)),
         ("data/phantom_000_mask.pvol", lambda path: _respace(path, (1, 1, 0)),
          "eval", ("phantom_000_mask.pvol",)),
-        ("data/phantom_000_mask.pvol", lambda path: (path.unlink(), path.mkdir()),
-         "eval", ("phantom_000_mask.pvol",)),
+        ("data/phantom_000_mask.pvol", _as_directory, "eval", ("phantom_000_mask.pvol",)),
         ("preds/pred_phantom_000.pvol", lambda path: _respace(path, (2, 1, 1)),
          "eval", ("pred_phantom_000.pvol", "phantom_000_mask.pvol")),
         ("run/manifest_train_primary.json", lambda path: path.write_text("{"),
@@ -268,14 +286,29 @@ class TestExitCodes:
         ("run/manifest_train_primary.json", lambda path: path.mkdir(),
          "infer", ("manifest_train_primary.json",)),
         ("run/reports/slices.csv", lambda path: path.write_text(""),
-         "report", ("slices.csv",))],
+         "report", ("slices.csv",)),
+        ("run/checkpoints/init_axial.pbrw", _as_directory, "infer", ("init_axial.pbrw",)),
+        ("run/checkpoints/primary_d1.pbrw", _truncate, "infer", ("primary_d1.pbrw",)),
+        ("run/checkpoints/primary_d1.pbrw", lambda path: path.write_bytes(b"garbage"),
+         "infer", ("primary_d1.pbrw",)),
+        ("run/checkpoints/primary_d1.pbrw", lambda path: _patch(path, 22, b"\xff"),
+         "infer", ("primary_d1.pbrw",)),  # the first array name's first byte
+        ("run/checkpoints/primary_d1.pbrw", lambda path: _patch(path, 8, bytes(4)),
+         "infer", ("primary_d1.pbrw",)),  # in_channels 0
+        ("run/checkpoints/init_axial.pbrw", _truncate, "train-primary", ("init_axial.pbrw",)),
+        ("run/reports/volumes_mm3.json", _as_directory, "report", ("volumes_mm3.json",)),
+        ("run/reports/slices.csv", _as_directory, "report", ("slices.csv",)),
+        ("run/reports/volumes_mm3.json", _drop_last_gt, "report", ("volumes_mm3.json",))],
         ids=("shifted-mask", "nan-spacing", "negative-spacing", "zero-spacing", "mask-dir",
              "pred-spacing", "manifest-brace", "manifest-list", "manifest-dir",
-             "empty-slices"))
+             "empty-slices", "init-dir", "primary-truncated", "primary-garbage",
+             "primary-name-not-utf8", "primary-no-channels", "train-primary-init-truncated",
+             "mm3-dir", "slices-dir", "mm3-unequal-lists"))
     def test_data_contract(self, tmp_path, fabricated_run, target, corrupt, command, named):
-        """Inputs that disagree with each other, or carry a spacing that is
-        not finite and above 0, exit 2 with a message naming the file, not
-        with a traceback or a run that silently means something else."""
+        """Inputs that cannot be read or parsed, disagree with each other, or
+        carry a spacing that is not finite and above 0, exit 2 with a message
+        naming the file, not with a traceback or a run that silently means
+        something else."""
         data, run = _untrained_run(tmp_path)
         _eval_tables(fabricated_run, tmp_path)
         preds = tmp_path / "preds"
@@ -286,6 +319,8 @@ class TestExitCodes:
         where = ["--data", str(data), "--run", str(run)]
         argv = {"train-init": ["train-init", *where, "--base-width", "2", "--sgd-epochs", "0",
                                "--adam-epochs", "0"],
+                "train-primary": ["train-primary", *where, "--base-width", "2",
+                                  "--epochs", "0"],
                 "eval": ["eval", *where, "--pred", str(preds)],
                 "infer": ["infer", *where],
                 "report": ["report", "--run", str(run)]}[command]

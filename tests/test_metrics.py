@@ -485,7 +485,7 @@ class TestCsvAndSummary:
             with pytest.raises(DataError, match=f"slices.csv: bad or missing {column}"):
                 read_slice_csv(path)
         path.write_bytes(b"\xff\xfe\x00binary")
-        with pytest.raises(DataError, match="slices.csv is not a CSV table"):
+        with pytest.raises(DataError, match="slices.csv: not a CSV table"):
             read_slice_csv(path)
         path.write_text(good)
         assert read_columns(path, {"dsc": float}) == {"dsc": [0.5]}
