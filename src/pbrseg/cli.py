@@ -4,7 +4,6 @@ evaluation, and reporting, with reproducible run manifests."""
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import re
@@ -16,7 +15,7 @@ import scipy
 
 from . import __version__, parallel
 from .checkpoint import checkpoint_digest
-from .errors import ConfigError, DataError, NumericalError, read_input
+from .errors import ConfigError, DataError, NumericalError, read_input, write_output
 from .hybrid import SweepConfig, binarize, infer_pbr
 from .metrics import (SliceReport, VolumeReport, dsc_histogram, evaluate_slices,
                       evaluate_volume, read_columns, read_slice_csv, reliability_curve,
@@ -25,7 +24,7 @@ from .metrics import (SliceReport, VolumeReport, dsc_histogram, evaluate_slices,
 from .phantom import PhantomSpec, gen_phantom, volume_seed
 from .preprocess import crop, crop_box, preprocess
 from .pvol import MaskVolume, read_pvol_file, write_pvol_file
-from .training import Phase, TrainSchedule, train_initial, train_primary, write_train_log
+from .training import EpochLog, Phase, TrainSchedule, train_initial, train_primary
 from .unet import UNet
 from .views import VIEWS
 
@@ -143,18 +142,8 @@ def _load_masks(data_dir, ids=None, crop_hw=None):
     return masks
 
 
-def _run_dir(run: Path, name: str) -> Path:
-    """``run/name``, created with its parents: called only once a command's
-    inputs have loaded, so a failing command leaves no empty directories."""
-    path = Path(run) / name
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _write_json(path: Path, obj) -> None:
-    with open(path, "w") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_output(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _machine() -> dict:
@@ -200,7 +189,6 @@ def _load_init_nets(ckpt_dir: Path, views) -> tuple:
 
 def cmd_phantom(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):
         spec = PhantomSpec(seed=volume_seed(args.seed, i), dims=args.dims,
                            contrast=args.contrast, noise_std=args.noise,
@@ -223,13 +211,12 @@ def cmd_train_init(args) -> int:
     trained = parallel.run(
         lambda view: train_initial(dataset, view, schedule, args.seed, args.base_width),
         args.views)
-    ckpt_dir, report_dir = _run_dir(args.run, "checkpoints"), _run_dir(args.run, "reports")
-    digests = {}
+    run, digests = Path(args.run), {}
     for view, (net, logs) in zip(args.views, trained):
         blob = net.save()
-        (ckpt_dir / f"init_{view}.pbrw").write_bytes(blob)
+        write_output(run / "checkpoints" / f"init_{view}.pbrw", blob)
         digests[f"init_{view}"] = checkpoint_digest(blob)
-        write_train_log(logs, report_dir / f"train_init_{view}.csv")
+        write_csv(logs, run / "reports" / f"train_init_{view}.csv", EpochLog)
     _write_manifest(args.run, "train-init", args, digests)
     return 0
 
@@ -246,9 +233,9 @@ def cmd_train_primary(args) -> int:
                               teacher_forced=args.teacher_forced,
                               base_width=args.base_width)
     blob = net.save()
-    path = _run_dir(args.run, "checkpoints") / f"primary_d{args.depth}.pbrw"
-    path.write_bytes(blob)
-    write_train_log(logs, _run_dir(args.run, "reports") / "train_primary.csv")
+    path = Path(args.run) / "checkpoints" / f"primary_d{args.depth}.pbrw"
+    write_output(path, blob)
+    write_csv(logs, Path(args.run) / "reports" / "train_primary.csv", EpochLog)
     _write_manifest(args.run, "train-primary", args,
                     {path.stem: checkpoint_digest(blob)})
     return 0
@@ -280,7 +267,7 @@ def cmd_infer(args) -> int:
     _check_trained_views(args.run, primary_path.stem, digests["primary"], args.views)
     config = SweepConfig(args.depth, args.threshold, args.sweeps)
     pairs = _load_pairs(args.data, args.ids, args.crop)
-    out = _run_dir(args.run, "volumes")
+    out = Path(args.run) / "volumes"
 
     def run_one(item):
         vid, v, _ = item
@@ -294,11 +281,9 @@ def cmd_infer(args) -> int:
     # one volume per core; a lone volume runs here, its estimate on every core
     results = parallel.run(run_one, pairs)
 
-    with open(out / "timing.jsonl", "w") as f:
-        for vid, timings in sorted(results):
-            for stage, seconds in timings:
-                f.write(json.dumps({"volume": vid, "stage": stage,
-                                    "seconds": seconds}) + "\n")
+    write_output(out / "timing.jsonl", "".join(
+        json.dumps({"volume": vid, "stage": stage, "seconds": seconds}) + "\n"
+        for vid, timings in sorted(results) for stage, seconds in timings))
     _write_manifest(args.run, "infer", args, digests)
     return 0
 
@@ -322,12 +307,12 @@ def _eval_set(masks, pred_dir: Path, prefix: str):
 def cmd_eval(args) -> int:
     pred_dir = Path(args.pred) if args.pred else Path(args.run) / "volumes"
     masks = _load_masks(args.data, args.ids, args.crop)
-    scored = []  # every prediction is read before reports/ is created
+    scored = []  # every prediction is read before the first table is written
     for prefix, tag in (("pred_", ""), ("pred_init_", "_init")):
         if tag and not any((pred_dir / f"{prefix}{vid}.pvol").exists() for vid, _, _ in masks):
             continue
         scored.append((tag, _eval_set(masks, pred_dir, prefix)))
-    out = _run_dir(args.run, "reports")
+    out = Path(args.run) / "reports"
     for tag, (vols, slices, mm3) in scored:
         write_csv(vols, out / f"volumes{tag}.csv", VolumeReport)
         write_csv(slices, out / f"slices{tag}.csv", SliceReport)
@@ -360,11 +345,8 @@ def cmd_report(args) -> int:
     small = small_target_report(slice_reports, args.area_threshold, args.head_tail_n)
 
     _write_json(reports / "histogram.json", histogram)
-    with open(reports / "reliability.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(("threshold", "fraction"))
-        for t, frac in curve:
-            w.writerow((f"{t:.2f}", f"{frac:.6f}"))
+    write_output(reports / "reliability.csv", "threshold,fraction\r\n" + "".join(
+        f"{t:.2f},{frac:.6f}\r\n" for t, frac in curve))  # the csv module's line ends
     _write_json(reports / "agreement.json", vars(agreement))
     _write_json(reports / "small_targets.json", small)
     _write_manifest(args.run, "report", args, {})
@@ -405,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--patience", type=_ranged(int, 1), default=20)
         p.add_argument("--val-fraction", type=_ranged(float, 0, below=1), default=0.01)
         p.add_argument("--augment", action="store_true")
-        p.add_argument("--base-width", type=int, default=8)
+        p.add_argument("--base-width", type=_ranged(int, 1), default=8)
 
     p = sub.add_parser("train-init", help="train per-view estimation nets")
     training(p)

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package, and its one checked file read.
+"""Exception hierarchy shared across the package, its one checked file read
+and its one checked file write.
 
 The CLI maps these onto exit codes: configuration errors -> 1,
 data/format errors -> 2, numerical failures -> 3.
 """
+
+from pathlib import Path
 
 
 class PbrsegError(Exception):
@@ -48,3 +51,17 @@ def read_input(path, parse):
     except (DataError, ValueError) as e:  # a ValueError: text or JSON that does not parse
         kind = type(e) if isinstance(e, DataError) else DataError
         raise kind(f"{path}: {e}") from None
+
+
+def write_output(path, data) -> None:
+    """Write ``data`` (bytes, or text stored as UTF-8) to a file, creating its
+    directory. A file or directory the OS refuses is a DataError naming it."""
+    path = Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "wb") as f:
+            f.write(data)
+    except OSError as e:
+        raise DataError(f"cannot write {e.filename or path}: {e.strerror}") from None

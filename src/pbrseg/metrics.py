@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ConfigError, DataError, UndefinedMetricError, read_input
+from .errors import ConfigError, DataError, UndefinedMetricError, read_input, write_output
 from .pvol import MaskVolume
 
 DSC_BUCKETS = (0.0, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -278,23 +278,26 @@ def small_target_report(slice_reports, area_threshold: int = 300,
     }
 
 
-def _fmt(x) -> str:
+def _fmt(x, spec) -> str:
     if x is None:
         return ""
     if isinstance(x, str):
         return x
-    if isinstance(x, (bool, int, np.integer)):
+    if spec is None and isinstance(x, (bool, int, np.integer)):
         return str(int(x))
-    return f"{x:.6f}"
+    return format(x, spec or ".6f")
 
 
 def write_csv(reports, path, cls) -> None:
-    """One row per report, one column per field of the dataclass cls."""
-    names = [f.name for f in fields(cls)]
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(names)
-        w.writerows([_fmt(getattr(r, name)) for name in names] for r in reports)
+    """One row per report, one column per field of the dataclass cls. A
+    number takes the format in its field's metadata; without one, an integer
+    is written whole and a float as .6f."""
+    table, columns = io.StringIO(), fields(cls)
+    w = csv.writer(table)
+    w.writerow([c.name for c in columns])
+    w.writerows([_fmt(getattr(r, c.name), c.metadata.get("format")) for c in columns]
+                for r in reports)
+    write_output(path, table.getvalue())
 
 
 _PARSE = {"str": str, "int": int, "float": float,  # by field annotation, a string here

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MagicError, SchemaError, TruncationError, read_input
+from .errors import MagicError, SchemaError, TruncationError, read_input, write_output
 
 MAGIC = b"PVOL"
 VERSION = 1
@@ -164,6 +164,5 @@ def read_pvol_file(path) -> Volume | MaskVolume:
 
 
 def write_pvol_file(path, v: Volume | MaskVolume | ProbVolume) -> None:
-    with open(path, "wb") as f:
-        f.write(write_pvol(v))
+    write_output(path, write_pvol(v))
 

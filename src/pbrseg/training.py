@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,18 +38,9 @@ class TrainSchedule:
 class EpochLog:
     epoch: int
     phase: str
-    lr: float
+    lr: float = field(metadata={"format": ".8f"})
     train_loss: float
     val_dice: float = None
-
-
-def write_train_log(logs, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(("epoch", "phase", "lr", "train_loss", "val_dice"))
-        for r in logs:
-            w.writerow((r.epoch, r.phase, f"{r.lr:.8f}", f"{r.train_loss:.6f}",
-                        "" if r.val_dice is None else f"{r.val_dice:.6f}"))
 
 
 def _subseed(*entropy) -> int:

@@ -61,6 +61,11 @@ def _as_directory(path):
     path.mkdir()
 
 
+def _as_file(path):
+    shutil.rmtree(path)
+    path.touch()
+
+
 def _drop_last_gt(path):
     """Cut the last reference volume from a volumes_mm3.json."""
     mm3 = json.loads(path.read_text())
@@ -129,12 +134,16 @@ class TestExitCodes:
     def test_failing_command_creates_no_run_directories(self, tmp_path, capsys):
         data, run = _untrained_run(tmp_path)
         fresh = tmp_path / "fresh"
-        for argv in (["infer", "--data", str(data), "--run", str(fresh), "--ids", "0"],
-                     ["train-init", "--data", str(tmp_path / "nope"), "--run", str(fresh)],
-                     ["train-primary", "--data", str(data), "--run", str(fresh),
-                      "--views", "coronal"],
-                     ["eval", "--data", str(data), "--run", str(fresh)]):
-            assert main(argv) == 2, argv
+        phantom = ["phantom", "--out", str(fresh), "--count", "1"]
+        for code, argv in (
+                (2, ["infer", "--data", str(data), "--run", str(fresh), "--ids", "0"]),
+                (2, ["train-init", "--data", str(tmp_path / "nope"), "--run", str(fresh)]),
+                (2, ["train-primary", "--data", str(data), "--run", str(fresh),
+                     "--views", "coronal"]),
+                (2, ["eval", "--data", str(data), "--run", str(fresh)]),
+                (1, [*phantom, "--taper", "0"]),
+                (2, [*phantom, "--dims", "5,48,48"])):
+            assert main(argv) == code, argv
             assert not fresh.exists(), argv
         assert main(["infer", "--data", str(data), "--run", str(run), "--ids", "0",
                      "--depth", "2"]) == 2
@@ -172,7 +181,10 @@ class TestExitCodes:
                      ["train-primary", "--base-width", "2", "--epochs", "0", "--lr", "-1"],
                      ["train-init", *no_epochs, "--patience", "0"],
                      ["train-primary", "--base-width", "2", "--epochs", "0",
-                      "--patience", "-4"]):
+                      "--patience", "-4"],
+                     ["train-init", "--sgd-epochs", "0", "--adam-epochs", "0",
+                      "--base-width", "0"],
+                     ["train-primary", "--epochs", "0", "--base-width", "-2"]):
             assert main([*argv, *where]) == 1, argv
             assert argv[-2] in capsys.readouterr().err
         assert sorted(p.name for p in run.iterdir()) == ["checkpoints"]
@@ -189,7 +201,7 @@ class TestExitCodes:
             assert argv[-2] in capsys.readouterr().err
         assert main(["phantom", *out, "--count", "1", "--noise", "-1"]) == 1
         assert "noise_std" in capsys.readouterr().err
-        assert not list(tmp_path.glob("phantoms/*"))
+        assert not (tmp_path / "phantoms").exists()
 
     def test_report_before_eval(self, tmp_path, capsys):
         run = tmp_path / "run"
@@ -240,6 +252,35 @@ class TestExitCodes:
         assert "predicted volumes are constant" in capsys.readouterr().err
         assert sorted(p.name for p in run.rglob("*")) == [
             "reports", "slices.csv", "volumes.csv", "volumes_mm3.json"]
+
+    @pytest.mark.parametrize("target, block, command", [
+        ("phantoms", Path.touch, "phantom"),
+        ("run/checkpoints", _as_file, "train-init"),
+        ("run/volumes", Path.touch, "infer"),
+        ("run/reports/volumes.csv", _as_directory, "eval"),
+        ("run/reports/histogram.json", Path.mkdir, "report")],
+        ids=("phantom-out-file", "checkpoints-file", "volumes-file", "volumes-csv-dir",
+             "histogram-dir"))
+    def test_output_faults(self, tmp_path, capsys, fabricated_run, target, block, command):
+        """An output the OS refuses, a file where a directory goes or a
+        directory where a file goes, exits 2 naming it, not with a traceback."""
+        data, run = _untrained_run(tmp_path)
+        _eval_tables(fabricated_run, tmp_path)
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        shutil.copy(data / "phantom_000_mask.pvol", preds / "pred_phantom_000.pvol")
+        block(tmp_path / target)
+        where = ["--data", str(data), "--run", str(run)]
+        argv = {"phantom": ["phantom", "--out", str(tmp_path / target), "--count", "1",
+                            "--dims", "22,48,48"],
+                "train-init": ["train-init", *where, "--base-width", "2", "--sgd-epochs", "0",
+                               "--adam-epochs", "0"],
+                "infer": ["infer", *where],
+                "eval": ["eval", *where, "--pred", str(preds)],
+                "report": ["report", "--run", str(run)]}[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {tmp_path / target}: " in err and "Traceback" not in err
 
     def test_views_differ_from_training(self, tmp_path, capsys):
         data, run = _untrained_run(tmp_path)

@@ -8,10 +8,10 @@ import pytest
 from pbrseg import parallel, training
 from pbrseg.cli import build_parser
 from pbrseg.errors import ConfigError, DataError, NumericalError
+from pbrseg.metrics import write_csv
 from pbrseg.phantom import gen_dataset
 from pbrseg.preprocess import preprocess
-from pbrseg.training import (Phase, TrainSchedule, fit, train_initial, train_primary,
-                             write_train_log)
+from pbrseg.training import EpochLog, Phase, TrainSchedule, fit, train_initial, train_primary
 from pbrseg.unet import UNetConfig, build_unet
 
 
@@ -181,10 +181,11 @@ def test_write_train_log(tmp_path, blob_data):
     logs = fit(net, samples, targets,
                TrainSchedule((Phase("adam", 1e-3, 2),), val_fraction=0.0), seed=0)
     path = tmp_path / "log.csv"
-    write_train_log(logs, path)
+    write_csv(logs, path, EpochLog)
     with open(path) as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == 2
+    assert [r["lr"] for r in rows] == ["0.00100000"] * 2  # 8 decimals, not the default 6
     assert rows[0]["phase"] == "adam"
     assert rows[0]["val_dice"] == ""
     assert float(rows[1]["train_loss"]) == pytest.approx(logs[1].train_loss, abs=1e-6)
