@@ -31,18 +31,15 @@ from .views import VIEWS
 
 # -- small parsing helpers --------------------------------------------------
 
-def _dims(text: str) -> tuple:
-    parts = [int(p) for p in text.split(",")]
-    if len(parts) != 3 or min(parts) < 1:
-        raise argparse.ArgumentTypeError(f"expected m,h,w got {text!r}")
-    return tuple(parts)
-
-
-def _crop_hw(text: str) -> tuple:
-    parts = [int(p) for p in text.split(",")]
-    if len(parts) != 2 or min(parts) < 1:
-        raise argparse.ArgumentTypeError(f"expected h,w got {text!r}")
-    return tuple(parts)
+def _sizes(form: str):
+    """Converter for comma-separated sizes >= 1, one per name in form ("h,w")."""
+    def parse(text):
+        parts = [int(p) for p in text.split(",")]
+        if len(parts) != len(form.split(",")) or min(parts) < 1:
+            raise argparse.ArgumentTypeError(f"expected {form} got {text!r}")
+        return tuple(parts)
+    parse.__name__ = form  # argparse names the form in its errors
+    return parse
 
 
 def _ids(text: str) -> frozenset:
@@ -62,9 +59,11 @@ def _views_arg(text: str) -> tuple:
     if text == "all":
         return VIEWS
     views = tuple(text.split(","))
-    for v in views:
+    for i, v in enumerate(views):
         if v not in VIEWS:
             raise argparse.ArgumentTypeError(f"unknown view {v!r}")
+        if v in views[:i]:
+            raise argparse.ArgumentTypeError(f"view {v!r} given twice")
     return views
 
 
@@ -95,10 +94,10 @@ def _select(data_dir, ids):
     out = []
     for i, mp in enumerate(sorted(data_dir.glob("*_mask.pvol"))):
         vp = mp.with_name(mp.name.replace("_mask.pvol", ".pvol"))
-        if not vp.exists():
-            raise DataError(f"mask {mp.name} has no matching volume file")
         if ids is not None and _id_number(vp.stem, i) not in ids:
             continue
+        if not vp.exists():
+            raise DataError(f"mask {mp.name} has no matching volume file")
         m = read_pvol_file(mp)
         if not isinstance(m, MaskVolume):
             raise DataError(f"{mp} does not hold a binary mask")
@@ -185,6 +184,14 @@ def _load_init_nets(ckpt_dir: Path, views) -> tuple:
     return nets, digests
 
 
+def _save_net(run: Path, name: str, net, logs, log_name: str) -> str:
+    """Write checkpoints/<name>.pbrw and reports/<log_name>.csv; return the digest."""
+    blob = net.save()
+    write_output(run / "checkpoints" / f"{name}.pbrw", blob)
+    write_csv(logs, run / "reports" / f"{log_name}.csv", EpochLog)
+    return checkpoint_digest(blob)
+
+
 # -- subcommands ------------------------------------------------------------
 
 def cmd_phantom(args) -> int:
@@ -211,12 +218,9 @@ def cmd_train_init(args) -> int:
     trained = parallel.run(
         lambda view: train_initial(dataset, view, schedule, args.seed, args.base_width),
         args.views)
-    run, digests = Path(args.run), {}
-    for view, (net, logs) in zip(args.views, trained):
-        blob = net.save()
-        write_output(run / "checkpoints" / f"init_{view}.pbrw", blob)
-        digests[f"init_{view}"] = checkpoint_digest(blob)
-        write_csv(logs, run / "reports" / f"train_init_{view}.csv", EpochLog)
+    digests = {f"init_{view}": _save_net(Path(args.run), f"init_{view}", net, logs,
+                                         f"train_init_{view}")
+               for view, (net, logs) in zip(args.views, trained)}
     _write_manifest(args.run, "train-init", args, digests)
     return 0
 
@@ -232,12 +236,9 @@ def cmd_train_primary(args) -> int:
     net, logs = train_primary(dataset, init_nets, args.depth, schedule, args.seed,
                               teacher_forced=args.teacher_forced,
                               base_width=args.base_width)
-    blob = net.save()
-    path = Path(args.run) / "checkpoints" / f"primary_d{args.depth}.pbrw"
-    write_output(path, blob)
-    write_csv(logs, Path(args.run) / "reports" / "train_primary.csv", EpochLog)
-    _write_manifest(args.run, "train-primary", args,
-                    {path.stem: checkpoint_digest(blob)})
+    name = f"primary_d{args.depth}"
+    digest = _save_net(Path(args.run), name, net, logs, "train_primary")
+    _write_manifest(args.run, "train-primary", args, {name: digest})
     return 0
 
 
@@ -365,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--count", type=_ranged(int, 0), default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dims", type=_dims, default=(32, 64, 64))
+    p.add_argument("--dims", type=_sizes("m,h,w"), default=(32, 64, 64))
     p.add_argument("--contrast", type=float, default=90.0)
     p.add_argument("--noise", type=float, default=18.0)
     p.add_argument("--distractors", type=_ranged(int, 0), default=3)
@@ -379,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--run", type=Path, required=True)
         p.add_argument("--ids", type=_ids, default=None,
                        help="volume numbers, e.g. 0-15 or 3,7,9")
-        p.add_argument("--crop", type=_crop_hw, default=None, help="h,w")
+        p.add_argument("--crop", type=_sizes("h,w"), default=None, help="h,w")
 
     def training(p):
         common(p)

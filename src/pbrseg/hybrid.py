@@ -138,24 +138,17 @@ def infer_pbr(init_nets: dict, primary_net, v: Volume,
     backward sweep, binarization; wall-clock seconds recorded per stage.
     """
     timings = []
-    t0 = time.perf_counter()
-    initial = estimate_initial(init_nets, v)
-    timings.append(("estimate", time.perf_counter() - t0))
 
-    t0 = time.perf_counter()
-    stack = build_hybrid(v, initial, config.depth)
-    timings.append(("hybrid", time.perf_counter() - t0))
-
-    t0 = time.perf_counter()
-    prob = sweep(primary_net, stack, "forward")
-    timings.append(("forward", time.perf_counter() - t0))
-
-    if config.sweeps == "both":
+    def timed(stage, fn, *args):
         t0 = time.perf_counter()
-        prob = sweep(primary_net, stack, "backward")
-        timings.append(("backward", time.perf_counter() - t0))
+        out = fn(*args)
+        timings.append((stage, time.perf_counter() - t0))
+        return out
 
-    t0 = time.perf_counter()
-    mask = binarize(prob, config.threshold)
-    timings.append(("binarize", time.perf_counter() - t0))
+    initial = timed("estimate", estimate_initial, init_nets, v)
+    stack = timed("hybrid", build_hybrid, v, initial, config.depth)
+    prob = timed("forward", sweep, primary_net, stack, "forward")
+    if config.sweeps == "both":
+        prob = timed("backward", sweep, primary_net, stack, "backward")
+    mask = timed("binarize", binarize, prob, config.threshold)
     return InferResult(mask, prob, initial, timings)

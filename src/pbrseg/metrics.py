@@ -41,9 +41,10 @@ class SliceReport:
     is_head_or_tail: bool
 
 
-def _check_dims(a: MaskVolume, b: MaskVolume) -> None:
-    if a.dims != b.dims:
-        raise ConfigError(f"mask dims differ: {a.dims} vs {b.dims}")
+def _check_grid(a: MaskVolume, b: MaskVolume) -> None:
+    if a.dims != b.dims or a.spacing != b.spacing:
+        raise ConfigError(f"mask grids differ: dims {a.dims} vs {b.dims}, "
+                          f"spacing {a.spacing} vs {b.spacing}")
 
 
 def _counts(a, b):
@@ -63,14 +64,14 @@ def array_dsc(a, b) -> float:
 
 
 def dsc(a: MaskVolume, b: MaskVolume) -> float:
-    """``array_dsc`` of two volumes, which must have equal dims."""
-    _check_dims(a, b)
+    """``array_dsc`` of two volumes, which must lie on the same grid."""
+    _check_grid(a, b)
     return array_dsc(a, b)
 
 
 def iou(a: MaskVolume, b: MaskVolume) -> float:
     """Intersection over union; two empty masks agree (1.0)."""
-    _check_dims(a, b)
+    _check_grid(a, b)
     inter, na, nb = _counts(a, b)
     union = na + nb - inter
     if union == 0:
@@ -80,7 +81,7 @@ def iou(a: MaskVolume, b: MaskVolume) -> float:
 
 def recall(pred: MaskVolume, gt: MaskVolume) -> float:
     """Fraction of reference voxels recovered."""
-    _check_dims(pred, gt)
+    _check_grid(pred, gt)
     inter, npred, ngt = _counts(pred, gt)
     if ngt == 0:
         if npred == 0:
@@ -92,7 +93,7 @@ def recall(pred: MaskVolume, gt: MaskVolume) -> float:
 
 def precision(pred: MaskVolume, gt: MaskVolume) -> float:
     """Fraction of predicted voxels that are correct."""
-    _check_dims(pred, gt)
+    _check_grid(pred, gt)
     inter, npred, ngt = _counts(pred, gt)
     if npred == 0:
         if ngt == 0:
@@ -102,19 +103,17 @@ def precision(pred: MaskVolume, gt: MaskVolume) -> float:
     return inter / npred
 
 
-def hausdorff(a: MaskVolume, b: MaskVolume, spacing=None, mode: str = "symmetric"):
+def hausdorff(a: MaskVolume, b: MaskVolume, mode: str = "symmetric"):
     """Max-min Euclidean distance between foreground voxel centers, in mm.
 
     directed mode measures a -> b only; symmetric takes the max of both
     directions; both returns the (directed, symmetric) pair from the same
     two nearest-neighbour passes. Undefined when either mask is empty.
     """
-    _check_dims(a, b)
+    _check_grid(a, b)
     if mode not in ("directed", "symmetric", "both"):
         raise ConfigError(f"mode must be 'directed', 'symmetric' or 'both', got {mode!r}")
-    if spacing is None:
-        spacing = a.spacing
-    scale = np.asarray(spacing, dtype=np.float64)
+    scale = np.asarray(a.spacing, dtype=np.float64)
     pa = np.argwhere(a.data) * scale
     pb = np.argwhere(b.data) * scale
     if len(pa) == 0 or len(pb) == 0:
@@ -130,7 +129,7 @@ def hausdorff(a: MaskVolume, b: MaskVolume, spacing=None, mode: str = "symmetric
 
 def rmse(pred: MaskVolume, gt: MaskVolume) -> float:
     """Per-voxel root mean squared error between the two label fields."""
-    _check_dims(pred, gt)
+    _check_grid(pred, gt)
     diff = pred.data.astype(np.float64) - gt.data.astype(np.float64)
     return float(np.sqrt(np.mean(diff * diff)))
 
@@ -143,7 +142,6 @@ def volume_mm3(mask: MaskVolume) -> float:
 def evaluate_volume(pred: MaskVolume, gt: MaskVolume, volume_id: str = "",
                     seconds: float = None) -> VolumeReport:
     """All volume-level metrics for one prediction."""
-    _check_dims(pred, gt)
     try:
         hd_d, hd_s = hausdorff(pred, gt, mode="both")
     except UndefinedMetricError:
@@ -173,7 +171,7 @@ def _head_tail(fg, n: int) -> set:
 def evaluate_slices(pred: MaskVolume, gt: MaskVolume, volume_id: str = "",
                     head_tail_n: int = 3) -> list:
     """Per-slice Dice along the stacking axis, head/tail slices flagged."""
-    _check_dims(pred, gt)
+    _check_grid(pred, gt)
     fg = [t for t in range(pred.dims[0]) if gt.data[t].any()]
     head_tail = _head_tail(fg, head_tail_n)
     out = []

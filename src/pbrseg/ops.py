@@ -266,21 +266,17 @@ def concat_channels_backward(gy, split):
 
 
 def dice_loss(pred, target):
-    """1 - (2*sum(pred*target) + eps) / (sum(pred) + sum(target) + eps).
+    """The loss that ``dice_loss_grad`` returns, without its gradient."""
+    return dice_loss_grad(pred, target)[0]
+
+
+def dice_loss_grad(pred, target):
+    """Dice loss 1 - (2*sum(pred*target) + eps) / (sum(pred) + sum(target) + eps)
+    plus its gradient w.r.t. pred.
 
     pred is expected in [0,1] and target in {0,1}; the epsilon makes the
     all-empty case come out as loss 0.
     """
-    if pred.shape != target.shape:
-        raise ConfigError(f"dice_loss shape mismatch: {pred.shape} vs {target.shape}")
-    inter = np.multiply(pred, target).sum(dtype=np.float64)
-    num = 2.0 * inter + DICE_EPS
-    den = pred.sum(dtype=np.float64) + target.sum(dtype=np.float64) + DICE_EPS
-    return float(1.0 - num / den)
-
-
-def dice_loss_grad(pred, target):
-    """Dice loss plus its gradient w.r.t. pred."""
     if pred.shape != target.shape:
         raise ConfigError(f"dice_loss shape mismatch: {pred.shape} vs {target.shape}")
     inter = np.multiply(pred, target).sum(dtype=np.float64)

@@ -34,8 +34,15 @@ class PhantomSpec:
     spacing: tuple = (1.0, 1.0, 1.0)
 
 
+def _center_bounds(spec: PhantomSpec) -> tuple:
+    """Centerline (y, x) bounds that keep the widest ellipse inside the slice."""
+    _, h, w = spec.dims
+    max_semi = spec.max_radius * 1.25
+    return max_semi + 2.0, [h - 3.0 - max_semi, w - 3.0 - max_semi]
+
+
 def _validate(spec: PhantomSpec) -> None:
-    m, h, w = spec.dims
+    m, _, _ = spec.dims
     if spec.min_radius <= 0 or spec.max_radius < spec.min_radius:
         raise ConfigError(f"bad radius profile [{spec.min_radius}, {spec.max_radius}]")
     if spec.taper < 1:
@@ -44,11 +51,8 @@ def _validate(spec: PhantomSpec) -> None:
         raise ConfigError(f"max_step must be in (0, 1], got {spec.max_step}")
     if spec.noise_std < 0:
         raise ConfigError(f"noise_std must be >= 0, got {spec.noise_std}")
-    # the centerline needs room to wander without the widest ellipse
-    # leaving the slice
-    max_semi = spec.max_radius * 1.25
-    lo = max_semi + 2.0
-    if lo >= min(h, w) - 3.0 - max_semi:
+    lo, hi = _center_bounds(spec)
+    if lo >= min(hi):
         raise DataError(f"dims {spec.dims} too small for max_radius {spec.max_radius}")
     if m < 2 * spec.taper + 10:
         raise DataError(f"{m} slices too few for taper {spec.taper}")
@@ -61,12 +65,8 @@ def _radius_profile(spec: PhantomSpec, nf: int) -> np.ndarray:
 
 
 def _centerline(spec: PhantomSpec, rng: np.random.Generator, nf: int) -> np.ndarray:
-    _, h, w = spec.dims
-    max_semi = spec.max_radius * 1.25
-    lo = max_semi + 2.0
-    hi_y = h - 3.0 - max_semi
-    hi_x = w - 3.0 - max_semi
-    pos = np.array([(lo + hi_y) / 2, (lo + hi_x) / 2])
+    lo, hi = _center_bounds(spec)
+    pos = (lo + np.array(hi)) / 2
     pos += rng.uniform(-2.0, 2.0, size=2)
     vel = np.zeros(2)
     out = np.empty((nf, 2))
@@ -77,7 +77,7 @@ def _centerline(spec: PhantomSpec, rng: np.random.Generator, nf: int) -> np.ndar
         norm = np.hypot(*vel)
         if norm > spec.max_step:
             vel *= spec.max_step / norm
-        pos = np.clip(pos + vel, lo, [hi_y, hi_x])
+        pos = np.clip(pos + vel, lo, hi)
     return out
 
 

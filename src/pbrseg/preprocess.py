@@ -102,16 +102,11 @@ def augment(image: np.ndarray, mask: np.ndarray, seed: int):
     center = (np.array(img.shape[-2:]) - 1) / 2.0
     offset = center - matrix @ center
 
-    def warp(plane, order):
-        return ndimage.affine_transform(plane, matrix, offset=offset, order=order,
-                                        mode="constant", cval=0.0, prefilter=False)
+    def warp(planes, order):
+        """The transform of every (h, w) plane of an (h, w) or (c, h, w) array."""
+        return np.stack([
+            ndimage.affine_transform(plane, matrix, offset=offset, order=order,
+                                     mode="constant", cval=0.0, prefilter=False)
+            for plane in planes.reshape(-1, *planes.shape[-2:])]).reshape(planes.shape)
 
-    if img.ndim == 2:
-        img_out = warp(img, order=1)
-    else:
-        img_out = np.stack([warp(ch, order=1) for ch in img])
-    if msk.ndim == 2:
-        msk_out = warp(msk, order=0)
-    else:
-        msk_out = np.stack([warp(ch, order=0) for ch in msk])
-    return img_out.astype(np.float32), msk_out.astype(mask.dtype)
+    return warp(img, order=1).astype(np.float32), warp(msk, order=0).astype(mask.dtype)

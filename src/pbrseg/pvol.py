@@ -10,6 +10,11 @@ PVOL layout (little-endian, no padding between fields):
     payload slice-major: z outer, then row-major h x w
 
 Masks store one byte per voxel, strictly 0 or 1.
+
+``Volume``, ``MaskVolume`` and ``ProbVolume`` share one base, ``_Grid``,
+which holds the data and spacing and checks the rank, the size and the
+spacing; each class adds only its value rule. ``_PAYLOAD`` is the one
+table from dtype code to payload dtype, for writing and reading alike.
 """
 
 from __future__ import annotations
@@ -29,104 +34,86 @@ DTYPE_MASK = 2
 Spacing = tuple[float, float, float]
 
 
-def _check_dims(data: np.ndarray) -> None:
-    if data.ndim != 3:
-        raise SchemaError(f"volume data must be 3-D (m,h,w), got shape {data.shape}")
-    if min(data.shape) < 1:
-        raise SchemaError(f"volume dims must all be >= 1, got {data.shape}")
-
-
-def _check_spacing(spacing) -> Spacing:
-    spacing = tuple(float(s) for s in spacing)
-    if len(spacing) != 3 or not all(0 < s < np.inf for s in spacing):  # NaN fails too
-        raise SchemaError(f"voxel spacing must be 3 finite values above 0, got {spacing}")
-    return spacing
-
-
 @dataclass
-class Volume:
-    """Real-valued 3-D scalar field with voxel spacing in mm."""
+class _Grid:
+    """A 3-D array (m, h, w) with voxel spacing in mm. A subclass states its
+    value rule in ``_values``, which checks the data and returns it in the
+    subclass's dtype."""
 
     data: np.ndarray
     spacing: Spacing = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        self.data = np.asarray(self.data)
-        _check_dims(self.data)
-        if not np.issubdtype(self.data.dtype, np.floating):
-            self.data = self.data.astype(np.float32)
-        if not np.all(np.isfinite(self.data)):
-            raise SchemaError("volume intensities must all be finite")
-        self.spacing = _check_spacing(self.spacing)
+        data = np.asarray(self.data)
+        if data.ndim != 3:
+            raise SchemaError(f"volume data must be 3-D (m,h,w), got shape {data.shape}")
+        if min(data.shape) < 1:
+            raise SchemaError(f"volume dims must all be >= 1, got {data.shape}")
+        self.data = self._values(data)
+        spacing = tuple(float(s) for s in self.spacing)
+        if len(spacing) != 3 or not all(0 < s < np.inf for s in spacing):  # NaN fails too
+            raise SchemaError(f"voxel spacing must be 3 finite values above 0, got {spacing}")
+        self.spacing = spacing
 
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape
 
 
-@dataclass
-class MaskVolume:
+def _floating(data: np.ndarray) -> np.ndarray:
+    return data if np.issubdtype(data.dtype, np.floating) else data.astype(np.float32)
+
+
+class Volume(_Grid):
+    """Real-valued 3-D scalar field."""
+
+    @staticmethod
+    def _values(data):
+        data = _floating(data)
+        if not np.all(np.isfinite(data)):
+            raise SchemaError("volume intensities must all be finite")
+        return data
+
+
+class MaskVolume(_Grid):
     """Binary 3-D label field; 1 = foreground, 0 = background."""
 
-    data: np.ndarray
-    spacing: Spacing = (1.0, 1.0, 1.0)
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data)
-        _check_dims(self.data)
-        vals = np.unique(self.data)
+    @staticmethod
+    def _values(data):
+        vals = np.unique(data)
         if not np.isin(vals, (0, 1)).all():
             raise SchemaError(f"mask labels must be 0/1, found values {vals[:8]}")
-        self.data = self.data.astype(np.uint8)
-        self.spacing = _check_spacing(self.spacing)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape
+        return data.astype(np.uint8)
 
     def voxel_count(self) -> int:
         return int(self.data.sum())
 
 
-@dataclass
-class ProbVolume:
+class ProbVolume(_Grid):
     """Per-voxel foreground probabilities in [0, 1]."""
 
-    data: np.ndarray
-    spacing: Spacing = (1.0, 1.0, 1.0)
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data)
-        _check_dims(self.data)
-        if not np.issubdtype(self.data.dtype, np.floating):
-            self.data = self.data.astype(np.float32)
-        lo, hi = float(self.data.min()), float(self.data.max())
+    @staticmethod
+    def _values(data):
+        data = _floating(data)
+        lo, hi = float(data.min()), float(data.max())
         if not (np.isfinite(lo) and np.isfinite(hi)) or lo < 0.0 or hi > 1.0:
             raise SchemaError(f"probabilities must lie in [0,1], found range [{lo}, {hi}]")
-        self.spacing = _check_spacing(self.spacing)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape
+        return data
 
 
 _HEADER = struct.Struct("<4sIB3I3f")
+# dtype code -> payload dtype and the class a read returns; a ProbVolume is
+# written as f32 and reads back as a Volume
+_PAYLOAD = {DTYPE_F32: (np.dtype("<f4"), Volume), DTYPE_MASK: (np.dtype(np.uint8), MaskVolume)}
 
 
 def write_pvol(v: Volume | MaskVolume | ProbVolume) -> bytes:
     """Serialize a volume; lossless for f32 intensities and u8 masks."""
-    if isinstance(v, MaskVolume):
-        dtype_code = DTYPE_MASK
-        payload = np.ascontiguousarray(v.data, dtype=np.uint8).tobytes()
-    elif isinstance(v, (Volume, ProbVolume)):
-        dtype_code = DTYPE_F32
-        payload = np.ascontiguousarray(v.data, dtype="<f4").tobytes()
-    else:
+    if not isinstance(v, _Grid):
         raise SchemaError(f"cannot serialize object of type {type(v).__name__}")
-    m, h, w = v.dims
-    sz, sy, sx = v.spacing
-    header = _HEADER.pack(MAGIC, VERSION, dtype_code, m, h, w, sz, sy, sx)
-    return header + payload
+    dtype_code = DTYPE_MASK if isinstance(v, MaskVolume) else DTYPE_F32
+    payload = np.ascontiguousarray(v.data, dtype=_PAYLOAD[dtype_code][0]).tobytes()
+    return _HEADER.pack(MAGIC, VERSION, dtype_code, *v.dims, *v.spacing) + payload
 
 
 def read_pvol(data: bytes) -> Volume | MaskVolume:
@@ -138,24 +125,16 @@ def read_pvol(data: bytes) -> Volume | MaskVolume:
     _, version, dtype_code, m, h, w, sz, sy, sx = _HEADER.unpack_from(data)
     if version != VERSION:
         raise SchemaError(f"unsupported PVOL version {version}")
-    if dtype_code not in (DTYPE_F32, DTYPE_MASK):
+    if dtype_code not in _PAYLOAD:
         raise SchemaError(f"unknown PVOL dtype code {dtype_code}")
-    if min(m, h, w) < 1:
-        raise SchemaError(f"PVOL dims must be >= 1, got ({m}, {h}, {w})")
-    n_vox = m * h * w
-    itemsize = 1 if dtype_code == DTYPE_MASK else 4
-    expected = _HEADER.size + n_vox * itemsize
+    dtype, cls = _PAYLOAD[dtype_code]
+    expected = _HEADER.size + m * h * w * dtype.itemsize
     if len(data) != expected:
         raise TruncationError(
             f"PVOL payload length mismatch: header promises {expected} bytes total, got {len(data)}"
         )
-    spacing = (sz, sy, sx)
-    raw = data[_HEADER.size:]
-    if dtype_code == DTYPE_MASK:
-        arr = np.frombuffer(raw, dtype=np.uint8).reshape(m, h, w)
-        return MaskVolume(arr.copy(), spacing)
-    arr = np.frombuffer(raw, dtype="<f4").reshape(m, h, w)
-    return Volume(arr.copy(), spacing)
+    arr = np.frombuffer(data, dtype, offset=_HEADER.size).reshape(m, h, w)
+    return cls(arr.copy(), (sz, sy, sx))  # the class refuses a zero-length axis
 
 
 def read_pvol_file(path) -> Volume | MaskVolume:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, SchemaError
 
 CONV_KERNEL = 3
@@ -195,7 +195,8 @@ class UNet:
         return save_checkpoint(self.params, self.config.in_channels, self.config.base_width)
 
     @classmethod
-    def from_checkpoint(cls, cp: Checkpoint) -> "UNet":
+    def load(cls, data: bytes) -> "UNet":
+        cp = load_checkpoint(data)
         config = UNetConfig(in_channels=cp.in_channels, base_width=cp.base_width)
         shapes = param_shapes(config)
         if set(cp.params) != set(shapes):
@@ -208,10 +209,6 @@ class UNet:
                 raise SchemaError(f"array '{name}' has shape {arr.shape}, "
                                   f"expected {shapes[name]}")
         return cls(config, {name: cp.params[name] for name in shapes})
-
-    @classmethod
-    def load(cls, data: bytes) -> "UNet":
-        return cls.from_checkpoint(load_checkpoint(data))
 
 
 def param_shapes(config: UNetConfig) -> dict:

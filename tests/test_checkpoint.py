@@ -111,7 +111,7 @@ def test_digest_matches_sha256(rng):
 def test_unet_save_load_forward_identical(rng):
     net = build_unet(UNetConfig(in_channels=1, base_width=2), seed=3)
     blob = save_checkpoint(net.params, 1, 2)
-    net2 = UNet.from_checkpoint(load_checkpoint(blob))
+    net2 = UNet.load(blob)
     x = rng.standard_normal((1, 1, 16, 16)).astype(np.float32)
     np.testing.assert_array_equal(net.forward(x), net2.forward(x))
 

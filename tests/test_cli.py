@@ -109,6 +109,13 @@ class TestExitCodes:
 
     def test_bad_dims_string(self, tmp_path, capsys):
         assert main(["phantom", "--out", str(tmp_path), "--dims", "4x4"]) == 1
+        assert "invalid m,h,w value: '4x4'" in capsys.readouterr().err
+        assert main(["phantom", "--out", str(tmp_path), "--dims", "4,4"]) == 1
+        assert "expected m,h,w got '4,4'" in capsys.readouterr().err
+        assert main(["infer", "--data", str(tmp_path), "--run", str(tmp_path / "run"),
+                     "--crop", "30"]) == 1
+        assert "expected h,w got '30'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_data_dir(self, tmp_path, capsys):
         code = main(["train-init", "--data", str(tmp_path / "nope"),
@@ -160,6 +167,27 @@ class TestExitCodes:
         assert sorted(p.name for p in scored.iterdir()) == ["manifest_eval.json", "reports"]
         assert (scored / "reports" / "volumes_init.csv").exists()
 
+    def test_ids_skip_a_volume_they_do_not_select(self, tmp_path, capsys):
+        """A mask without its volume is refused only when --ids selects it."""
+        data, run, pred = tmp_path / "data", tmp_path / "run", tmp_path / "pred"
+        data.mkdir()
+        pred.mkdir()
+        for i, (v, m) in enumerate(gen_dataset(3, dims=(22, 48, 48))):
+            write_pvol_file(data / f"phantom_{i:03d}.pvol", v)
+            write_pvol_file(data / f"phantom_{i:03d}_mask.pvol", m)
+            write_pvol_file(pred / f"pred_phantom_{i:03d}.pvol", m)
+        (data / "phantom_002.pvol").unlink()
+        train = ["train-init", "--base-width", "2", "--sgd-epochs", "0", "--adam-epochs", "0"]
+        evaluate = ["eval", "--pred", str(pred)]
+        for argv in (train, evaluate):
+            where = [*argv, "--data", str(data), "--run", str(run)]
+            assert main([*where, "--ids", "0-1"]) == 0, argv
+            assert main([*where, "--ids", "2"]) == 2, argv
+            assert "mask phantom_002_mask.pvol has no matching volume file" in \
+                capsys.readouterr().err
+        ids = json.loads((run / "reports" / "volumes_mm3.json").read_text())["ids"]
+        assert ids == ["phantom_000", "phantom_001"]
+
     def test_inverted_id_range(self, tmp_path, capsys):
         with pytest.raises(argparse.ArgumentTypeError):
             _ids("3-1")
@@ -187,7 +215,13 @@ class TestExitCodes:
                      ["train-primary", "--epochs", "0", "--base-width", "-2"]):
             assert main([*argv, *where]) == 1, argv
             assert argv[-2] in capsys.readouterr().err
+        for argv in (["train-init", *no_epochs, "--views", "axial,axial"],
+                     ["infer", "--views", "axial,axial"]):
+            assert main([*argv, *where]) == 1, argv
+            assert "view 'axial' given twice" in capsys.readouterr().err
         assert sorted(p.name for p in run.iterdir()) == ["checkpoints"]
+        assert sorted(p.name for p in (run / "checkpoints").iterdir()) == [
+            "init_axial.pbrw", "primary_d1.pbrw"]
         assert not (run / "volumes" / "pred_phantom_000.pvol").exists()
         out = ["--out", str(tmp_path / "phantoms")]
         scored = ["--run", str(fabricated_run[1])]

@@ -87,8 +87,18 @@ class TestOverlap:
             assert precision(e, f) == 0.0
 
     def test_dims_mismatch(self):
+        a = _mask(np.zeros((1, 2, 2)))
         with pytest.raises(ConfigError):
-            dsc(_mask(np.zeros((1, 2, 2))), _mask(np.zeros((1, 2, 3))))
+            dsc(a, _mask(np.zeros((1, 2, 3))))
+        # every pair metric refuses masks on two grids: other dims, or the same
+        # dims at another spacing, which would measure b in a's millimetres
+        for b in (_mask(np.zeros((1, 2, 3))), _mask(np.zeros((1, 2, 2)), (2.0, 1.0, 1.0))):
+            for fn in (dsc, iou, recall, precision, hausdorff, rmse, evaluate_volume,
+                       evaluate_slices):
+                with pytest.raises(ConfigError) as err:
+                    fn(a, b)
+                for part in (a.dims, b.dims, a.spacing, b.spacing):
+                    assert str(part) in str(err.value), (fn.__name__, b, str(err.value))
 
 
 class TestHausdorff:
@@ -130,8 +140,6 @@ class TestHausdorff:
         b[2, 0, 0] = 1
         assert hausdorff(_mask(a), _mask(b)) == 2.0
         assert hausdorff(_mask(a, (2.5, 1, 1)), _mask(b, (2.5, 1, 1))) == 5.0
-        # explicit spacing argument overrides the stored one
-        assert hausdorff(_mask(a), _mask(b), spacing=(4.0, 1, 1)) == 8.0
 
     def test_empty_mask_undefined(self):
         e = _mask(np.zeros((1, 2, 2)))

@@ -136,6 +136,17 @@ class TestAugment:
         np.testing.assert_array_equal(out[0], out[1])
         np.testing.assert_array_equal(out[0], out[2])
 
+    def test_stack_is_warped_plane_by_plane(self, rng):
+        """A (c, h, w) stack comes out as the (h, w) augment of each plane."""
+        img = rng.standard_normal((3, 12, 14)).astype(np.float32)
+        msk = (rng.uniform(size=(3, 12, 14)) > 0.5).astype(np.uint8)
+        for s in range(6):
+            out_i, out_m = augment(img, msk, seed=s)
+            for c in range(3):
+                plane_i, plane_m = augment(img[c], msk[c], seed=s)
+                np.testing.assert_array_equal(out_i[c], plane_i)
+                np.testing.assert_array_equal(out_m[c], plane_m)
+
     def test_mask_foreground_roughly_preserved(self):
         """Centered blob survives rotation/shear/flips mostly intact."""
         img = np.zeros((32, 32), dtype=np.float32)

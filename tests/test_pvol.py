@@ -109,6 +109,30 @@ def test_volume_rejects_nonfinite():
 def test_volume_rejects_wrong_rank():
     with pytest.raises(SchemaError):
         Volume(np.zeros((2, 2), dtype=np.float32))
+    for cls in (Volume, MaskVolume, ProbVolume):
+        for shape in ((2, 2), (1, 2, 2, 2), (0, 2, 2)):
+            with pytest.raises(SchemaError, match="3-D|>= 1"):
+                cls(np.zeros(shape, dtype=np.float32))
+    blob = bytearray(write_pvol(Volume(np.zeros((1, 2, 2), dtype=np.float32))))
+    struct.pack_into("<I", blob, 9, 0)  # m = 0, with the payload that promises
+    with pytest.raises(SchemaError, match=">= 1"):
+        read_pvol(bytes(blob[:33]))
+
+
+def test_integer_data_takes_the_class_dtype():
+    data = np.ones((1, 2, 2), dtype=np.int64)
+    assert Volume(data).data.dtype == np.float32
+    assert ProbVolume(data).data.dtype == np.float32
+    assert MaskVolume(data).data.dtype == np.uint8
+    # a floating array keeps its precision
+    assert Volume(data.astype(np.float64)).data.dtype == np.float64
+
+
+def test_write_refuses_a_non_volume():
+    with pytest.raises(SchemaError, match="object"):
+        write_pvol(object())
+    with pytest.raises(SchemaError):
+        write_pvol(np.zeros((1, 2, 2), dtype=np.float32))
 
 
 @pytest.mark.parametrize("spacing", [(1, float("nan"), 1), (1, 1, float("inf")), (-1, 1, 1),
