@@ -22,8 +22,8 @@ from .metrics import (SliceReport, VolumeReport, dsc_histogram, evaluate_slices,
                       small_target_report, summarize, volume_agreement, volume_mm3,
                       write_csv)
 from .phantom import PhantomSpec, gen_phantom, volume_seed
-from .preprocess import crop, crop_box, preprocess
-from .pvol import MaskVolume, read_pvol_file, write_pvol_file
+from .preprocess import crop_box, preprocess
+from .pvol import MaskVolume, Volume, read_pvol_file, write_pvol_file
 from .training import EpochLog, Phase, TrainSchedule, train_initial, train_primary
 from .unet import UNet
 from .views import VIEWS
@@ -78,67 +78,51 @@ def _ranged(convert, lo, below=float("inf")):
     return parse
 
 
-def _id_number(vid: str, fallback: int) -> int:
-    m = re.search(r"(\d+)$", vid)
-    return int(m.group(1)) if m else fallback
-
-
 # -- dataset discovery ------------------------------------------------------
 
-def _select(data_dir, ids):
-    """(id, volume path, mask path, mask) of the volume/mask pairs under
-    data_dir that the id filter keeps."""
+def _read(path, cls, grid=None):
+    """The ``cls`` a .pvol file holds; given ``grid=(volume, its path)``, the
+    file must lie on that volume's grid."""
+    v = read_pvol_file(path)
+    if not isinstance(v, cls):
+        raise DataError(f"{path} does not hold a binary mask" if cls is MaskVolume
+                        else f"{path} holds a mask, expected intensities")
+    if grid is not None:
+        g, g_path = grid
+        if v.dims != g.dims or v.spacing != g.spacing:
+            raise DataError(f"{path} (dims {v.dims}, spacing {v.spacing}) does not match "
+                            f"{g_path} (dims {g.dims}, spacing {g.spacing})")
+    return v
+
+
+def _load(data_dir, ids=None, crop_hw=None, images=True):
+    """(id, mask path, volume, mask) of each volume/mask pair under data_dir
+    that the id filter keeps, cut to the crop window; the volume is
+    preprocessed, or None when images is false and it is not read."""
     data_dir = Path(data_dir)
     if not data_dir.is_dir():
         raise DataError(f"data directory {data_dir} does not exist")
     out = []
     for i, mp in enumerate(sorted(data_dir.glob("*_mask.pvol"))):
         vp = mp.with_name(mp.name.replace("_mask.pvol", ".pvol"))
-        if ids is not None and _id_number(vp.stem, i) not in ids:
+        number = re.search(r"(\d+)$", vp.stem)  # a name without one counts by its place
+        if ids is not None and (int(number.group(1)) if number else i) not in ids:
             continue
         if not vp.exists():
             raise DataError(f"mask {mp.name} has no matching volume file")
-        m = read_pvol_file(mp)
-        if not isinstance(m, MaskVolume):
-            raise DataError(f"{mp} does not hold a binary mask")
-        out.append((vp.stem, vp, mp, m))
+        m = _read(mp, MaskVolume)
+        # normalisation covers the whole volume, so it runs before the crop
+        v = preprocess(_read(vp, Volume, (m, mp))) if images else None
+        if crop_hw is not None:
+            box = crop_box(m, *crop_hw)
+            m = MaskVolume(m.data[box].copy(), m.spacing)
+            if images:
+                v = Volume(v.data[box].copy(), v.spacing)
+        out.append((vp.stem, mp, v, m))
     if not out:
         raise DataError(f"no volume/mask pairs under {data_dir}"
                         + ("" if ids is None else " match --ids"))
     return out
-
-
-def _check_grid(a, a_path, b, b_path) -> None:
-    """Refuse two volumes whose voxels do not lie on the same grid."""
-    if a.dims != b.dims or a.spacing != b.spacing:
-        raise DataError(f"{a_path} (dims {a.dims}, spacing {a.spacing}) does not match "
-                        f"{b_path} (dims {b.dims}, spacing {b.spacing})")
-
-
-def _load_pairs(data_dir, ids=None, crop_hw=None):
-    """Preprocessed (id, volume, mask) triples, optionally filtered/cropped."""
-    pairs = []
-    for vid, vp, mp, m in _select(data_dir, ids):
-        v = read_pvol_file(vp)
-        if isinstance(v, MaskVolume):
-            raise DataError(f"{vp} holds a mask, expected intensities")
-        _check_grid(v, vp, m, mp)
-        v = preprocess(v)
-        if crop_hw is not None:
-            v, m = crop(v, m, *crop_hw)
-        pairs.append((vid, v, m))
-    return pairs
-
-
-def _load_masks(data_dir, ids=None, crop_hw=None):
-    """(id, mask path, mask) triples cropped as ``_load_pairs`` crops them;
-    the intensity volumes are not read."""
-    masks = []
-    for vid, _, mp, m in _select(data_dir, ids):
-        if crop_hw is not None:
-            m = MaskVolume(m.data[crop_box(m, *crop_hw)].copy(), m.spacing)
-        masks.append((vid, mp, m))
-    return masks
 
 
 def _write_json(path: Path, obj) -> None:
@@ -209,8 +193,7 @@ def cmd_phantom(args) -> int:
 
 
 def cmd_train_init(args) -> int:
-    pairs = _load_pairs(args.data, args.ids, args.crop)
-    dataset = [(v, m) for _, v, m in pairs]
+    dataset = [(v, m) for _, _, v, m in _load(args.data, args.ids, args.crop)]
     schedule = TrainSchedule((Phase("sgd", args.sgd_lr, args.sgd_epochs),
                               Phase("adam", args.adam_lr, args.adam_epochs)),
                              args.val_fraction, args.patience, args.augment)
@@ -226,8 +209,7 @@ def cmd_train_init(args) -> int:
 
 
 def cmd_train_primary(args) -> int:
-    pairs = _load_pairs(args.data, args.ids, args.crop)
-    dataset = [(v, m) for _, v, m in pairs]
+    dataset = [(v, m) for _, _, v, m in _load(args.data, args.ids, args.crop)]
     init_nets = {}
     if not args.teacher_forced:
         init_nets, _ = _load_init_nets(Path(args.run) / "checkpoints", args.views)
@@ -267,11 +249,11 @@ def cmd_infer(args) -> int:
     net, digests["primary"] = _load_net(primary_path)
     _check_trained_views(args.run, primary_path.stem, digests["primary"], args.views)
     config = SweepConfig(args.depth, args.threshold, args.sweeps)
-    pairs = _load_pairs(args.data, args.ids, args.crop)
+    pairs = _load(args.data, args.ids, args.crop)
     out = Path(args.run) / "volumes"
 
     def run_one(item):
-        vid, v, _ = item
+        vid, _, v, _ = item
         result = infer_pbr(init_nets, net, v, config)
         write_pvol_file(out / f"pred_{vid}.pvol", result.mask)
         write_pvol_file(out / f"prob_{vid}.pvol", result.prob)
@@ -291,12 +273,9 @@ def cmd_infer(args) -> int:
 
 def _eval_set(masks, pred_dir: Path, prefix: str):
     vol_reports, slice_reports, mm3 = [], [], {"ids": [], "pred": [], "gt": []}
-    for vid, gt_path, gt in masks:
+    for vid, gt_path, _, gt in masks:
         pred_path = Path(pred_dir) / f"{prefix}{vid}.pvol"
-        pred = read_pvol_file(pred_path)
-        if not isinstance(pred, MaskVolume):
-            raise DataError(f"{pred_path} does not hold a binary mask")
-        _check_grid(pred, pred_path, gt, gt_path)
+        pred = _read(pred_path, MaskVolume, (gt, gt_path))
         vol_reports.append(evaluate_volume(pred, gt, volume_id=vid))
         slice_reports.extend(evaluate_slices(pred, gt, volume_id=vid))
         mm3["ids"].append(vid)
@@ -307,10 +286,10 @@ def _eval_set(masks, pred_dir: Path, prefix: str):
 
 def cmd_eval(args) -> int:
     pred_dir = Path(args.pred) if args.pred else Path(args.run) / "volumes"
-    masks = _load_masks(args.data, args.ids, args.crop)
+    masks = _load(args.data, args.ids, args.crop, images=False)
     scored = []  # every prediction is read before the first table is written
     for prefix, tag in (("pred_", ""), ("pred_init_", "_init")):
-        if tag and not any((pred_dir / f"{prefix}{vid}.pvol").exists() for vid, _, _ in masks):
+        if tag and not any((pred_dir / f"{prefix}{vid}.pvol").exists() for vid, *_ in masks):
             continue
         scored.append((tag, _eval_set(masks, pred_dir, prefix)))
     out = Path(args.run) / "reports"
@@ -365,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phantom", help="generate a synthetic dataset")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--count", type=_ranged(int, 0), default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_ranged(int, 0), default=0)
     p.add_argument("--dims", type=_sizes("m,h,w"), default=(32, 64, 64))
     p.add_argument("--contrast", type=float, default=90.0)
     p.add_argument("--noise", type=float, default=18.0)
@@ -384,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def training(p):
         common(p)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_ranged(int, 0), default=0)
         p.add_argument("--patience", type=_ranged(int, 1), default=20)
         p.add_argument("--val-fraction", type=_ranged(float, 0, below=1), default=0.01)
         p.add_argument("--augment", action="store_true")

@@ -43,6 +43,9 @@ def _center_bounds(spec: PhantomSpec) -> tuple:
 
 def _validate(spec: PhantomSpec) -> None:
     m, _, _ = spec.dims
+    for name in ("min_radius", "max_radius", "max_step", "contrast", "noise_std"):
+        if not np.isfinite(value := getattr(spec, name)):
+            raise ConfigError(f"{name} must be finite, got {value}")
     if spec.min_radius <= 0 or spec.max_radius < spec.min_radius:
         raise ConfigError(f"bad radius profile [{spec.min_radius}, {spec.max_radius}]")
     if spec.taper < 1:

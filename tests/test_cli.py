@@ -22,7 +22,7 @@ from pbrseg.metrics import (dsc_histogram, evaluate_slices, reliability_curve,
                             small_target_report, volume_agreement, volume_mm3)
 from pbrseg.phantom import PhantomSpec, gen_dataset, gen_phantom
 from pbrseg.preprocess import crop
-from pbrseg.pvol import MaskVolume, read_pvol_file, write_pvol_file
+from pbrseg.pvol import MaskVolume, Volume, read_pvol_file, write_pvol_file
 from pbrseg.unet import UNetConfig, build_unet
 
 
@@ -54,6 +54,12 @@ def _respace(path, spacing):
 
 def _truncate(path):
     path.write_bytes(path.read_bytes()[:-7])
+
+
+def _as_intensities(path):
+    """Rewrite a mask file as an intensity volume with the same voxels."""
+    m = read_pvol_file(path)
+    write_pvol_file(path, Volume(m.data, m.spacing))
 
 
 def _as_directory(path):
@@ -212,7 +218,9 @@ class TestExitCodes:
                       "--patience", "-4"],
                      ["train-init", "--sgd-epochs", "0", "--adam-epochs", "0",
                       "--base-width", "0"],
-                     ["train-primary", "--epochs", "0", "--base-width", "-2"]):
+                     ["train-primary", "--epochs", "0", "--base-width", "-2"],
+                     ["train-init", *no_epochs, "--seed", "-5"],
+                     ["train-primary", "--base-width", "2", "--epochs", "0", "--seed", "-1"]):
             assert main([*argv, *where]) == 1, argv
             assert argv[-2] in capsys.readouterr().err
         for argv in (["train-init", *no_epochs, "--views", "axial,axial"],
@@ -230,11 +238,21 @@ class TestExitCodes:
                      ["phantom", *out, "--count", "1", "--distractors", "-1"],
                      ["report", *scored, "--head-tail-n", "0"],
                      ["report", *scored, "--head-tail-n", "-1"],
-                     ["report", *scored, "--area-threshold", "-1"]):
+                     ["report", *scored, "--area-threshold", "-1"],
+                     ["phantom", *out, "--count", "1", "--seed", "-1"]):
             assert main(argv) == 1, argv
             assert argv[-2] in capsys.readouterr().err
         assert main(["phantom", *out, "--count", "1", "--noise", "-1"]) == 1
         assert "noise_std" in capsys.readouterr().err
+        for flag, value, name in (("--min-radius", "nan", "min_radius"),
+                                  ("--max-radius", "nan", "max_radius"),
+                                  ("--max-radius", "inf", "max_radius"),
+                                  ("--contrast", "nan", "contrast"),
+                                  ("--contrast", "inf", "contrast"),
+                                  ("--noise", "nan", "noise_std")):
+            assert main(["phantom", *out, "--count", "1", "--dims", "24,48,48",
+                         "--max-radius", "6", "--taper", "3", flag, value]) == 1, flag
+            assert f"{name} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "phantoms").exists()
 
     def test_report_before_eval(self, tmp_path, capsys):
@@ -373,17 +391,25 @@ class TestExitCodes:
         ("run/checkpoints/init_axial.pbrw", _truncate, "train-primary", ("init_axial.pbrw",)),
         ("run/reports/volumes_mm3.json", _as_directory, "report", ("volumes_mm3.json",)),
         ("run/reports/slices.csv", _as_directory, "report", ("slices.csv",)),
-        ("run/reports/volumes_mm3.json", _drop_last_gt, "report", ("volumes_mm3.json",))],
+        ("run/reports/volumes_mm3.json", _drop_last_gt, "report", ("volumes_mm3.json",)),
+        ("data/phantom_000_mask.pvol", _as_intensities, "train-init",
+         ("phantom_000_mask.pvol", "does not hold a binary mask")),
+        ("data/phantom_000.pvol",
+         lambda path: shutil.copy(path.with_name("phantom_000_mask.pvol"), path),
+         "infer", ("phantom_000.pvol", "holds a mask, expected intensities")),
+        ("preds/pred_phantom_000.pvol", _as_intensities, "eval",
+         ("pred_phantom_000.pvol", "does not hold a binary mask"))],
         ids=("shifted-mask", "nan-spacing", "negative-spacing", "zero-spacing", "mask-dir",
              "pred-spacing", "manifest-brace", "manifest-list", "manifest-dir",
              "empty-slices", "init-dir", "primary-truncated", "primary-garbage",
              "primary-name-not-utf8", "primary-no-channels", "train-primary-init-truncated",
-             "mm3-dir", "slices-dir", "mm3-unequal-lists"))
+             "mm3-dir", "slices-dir", "mm3-unequal-lists", "mask-holds-intensities",
+             "volume-holds-mask", "pred-holds-intensities"))
     def test_data_contract(self, tmp_path, fabricated_run, target, corrupt, command, named):
-        """Inputs that cannot be read or parsed, disagree with each other, or
-        carry a spacing that is not finite and above 0, exit 2 with a message
-        naming the file, not with a traceback or a run that silently means
-        something else."""
+        """Inputs that cannot be read or parsed, hold the wrong kind of volume,
+        disagree with each other, or carry a spacing that is not finite and
+        above 0, exit 2 with a message naming the file, not with a traceback
+        or a run that silently means something else."""
         data, run = _untrained_run(tmp_path)
         _eval_tables(fabricated_run, tmp_path)
         preds = tmp_path / "preds"

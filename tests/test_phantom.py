@@ -108,6 +108,10 @@ def test_bad_config():
         gen_phantom(PhantomSpec(taper=0))
     with pytest.raises(ConfigError):
         gen_phantom(PhantomSpec(noise_std=-1.0))
+    for name in ("min_radius", "max_radius", "max_step", "contrast", "noise_std"):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ConfigError, match=f"{name} must be finite, got {value}"):
+                gen_phantom(PhantomSpec(**{name: value}))
 
 
 def test_dataset_decorrelated_and_reproducible():

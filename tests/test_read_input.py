@@ -118,6 +118,17 @@ def test_write_output_is_the_only_writer():
     assert _offenders(_is_write, ("errors.py", "write_output")) == []
 
 
+def test_cli_reads_a_pvol_only_through_its_checked_read():
+    """cli._read refuses a .pvol of the wrong class or grid, so no other
+    function in cli reads one."""
+    path = Path(pbrseg.__file__).parent / "cli.py"
+    calls = _calls(ast.parse(path.read_text(), str(path)),
+                   lambda call: _is_method(call, ("read_pvol_file", "read_pvol"))
+                   or isinstance(call.func, ast.Name)
+                   and call.func.id in ("read_pvol_file", "read_pvol"))
+    assert [func for func, _ in calls] == ["_read"]
+
+
 def test_the_guard_sees_each_kind_of_read():
     source = '''
 def a(p): return open(p).read()
