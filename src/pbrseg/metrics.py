@@ -103,6 +103,27 @@ def precision(pred: MaskVolume, gt: MaskVolume) -> float:
     return inter / npred
 
 
+def _boundary(m: np.ndarray) -> np.ndarray:
+    """The voxels of bool mask m with one of their six neighbours outside m,
+    the volume edge counting as outside."""
+    p, (nz, ny, nx) = np.pad(m, 1), m.shape
+    inner = m.copy()
+    for z, y, x in ((0, 1, 1), (2, 1, 1), (1, 0, 1), (1, 2, 1), (1, 1, 0), (1, 1, 2)):
+        inner &= p[z:z + nz, y:y + ny, x:x + nx]
+    return m & ~inner
+
+
+def _directed(a: np.ndarray, b: np.ndarray, scale: tuple) -> float:
+    """Max over bool mask a of the distance to the nearest voxel of b: 0 inside b;
+    outside b, the nearest is on b's boundary, as an inner voxel has a neighbour a step nearer."""
+    outside = np.flatnonzero(a & ~b)  # flat, as 3-D nonzero is ten times slower
+    if len(outside) == 0:
+        return 0.0
+    edge, query = (np.column_stack(np.unravel_index(i, a.shape)) * scale
+                   for i in (np.flatnonzero(_boundary(b)), outside))
+    return float(cKDTree(edge).query(query)[0].max())
+
+
 def hausdorff(a: MaskVolume, b: MaskVolume, mode: str = "symmetric"):
     """Max-min Euclidean distance between foreground voxel centers, in mm.
 
@@ -113,25 +134,20 @@ def hausdorff(a: MaskVolume, b: MaskVolume, mode: str = "symmetric"):
     _check_grid(a, b)
     if mode not in ("directed", "symmetric", "both"):
         raise ConfigError(f"mode must be 'directed', 'symmetric' or 'both', got {mode!r}")
-    scale = np.asarray(a.spacing, dtype=np.float64)
-    pa = np.argwhere(a.data) * scale
-    pb = np.argwhere(b.data) * scale
-    if len(pa) == 0 or len(pb) == 0:
+    ad, bd = a.data.astype(bool), b.data.astype(bool)  # so ~ is logical: ~1 is 254 in uint8
+    if not ad.any() or not bd.any():
         raise UndefinedMetricError("hausdorff undefined for an empty mask")
-    d_ab = float(cKDTree(pb).query(pa)[0].max())
+    d_ab = _directed(ad, bd, a.spacing)
     if mode == "directed":
         return d_ab
-    d_ba = float(cKDTree(pa).query(pb)[0].max())
-    if mode == "both":
-        return d_ab, max(d_ab, d_ba)
-    return max(d_ab, d_ba)
+    d_sym = max(d_ab, _directed(bd, ad, a.spacing))
+    return (d_ab, d_sym) if mode == "both" else d_sym
 
 
 def rmse(pred: MaskVolume, gt: MaskVolume) -> float:
-    """Per-voxel root mean squared error between the two label fields."""
+    """Per-voxel root mean squared error: the root of the fraction of voxels that differ."""
     _check_grid(pred, gt)
-    diff = pred.data.astype(np.float64) - gt.data.astype(np.float64)
-    return float(np.sqrt(np.mean(diff * diff)))
+    return float(np.sqrt(np.count_nonzero(pred.data != gt.data) / pred.data.size))
 
 
 def volume_mm3(mask: MaskVolume) -> float:

@@ -80,9 +80,8 @@ class MaskVolume(_Grid):
 
     @staticmethod
     def _values(data):
-        vals = np.unique(data)
-        if not np.isin(vals, (0, 1)).all():
-            raise SchemaError(f"mask labels must be 0/1, found values {vals[:8]}")
+        if not ((data == 0) | (data == 1)).all():  # NaN fails too
+            raise SchemaError(f"mask labels must be 0/1, found values {np.unique(data)[:8]}")
         return data.astype(np.uint8)
 
     def voxel_count(self) -> int:

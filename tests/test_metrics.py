@@ -5,7 +5,9 @@ import csv
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from pbrseg import metrics
 from pbrseg.errors import ConfigError, DataError, UndefinedMetricError
 from pbrseg.metrics import (DSC_BUCKETS, AgreementReport, SliceReport, VolumeReport,
                             dsc, dsc_histogram, evaluate_slices, evaluate_volume,
@@ -169,6 +171,82 @@ class TestHausdorff:
                        - _brute_hausdorff(a, b, spacing, False)) < 1e-9
 
 
+def _tree_hausdorff(a, b, mode):
+    """All-voxel reference: one tree over every foreground voxel of each mask,
+    queried with every foreground voxel of the other."""
+    scale = np.asarray(a.spacing, dtype=np.float64)
+    pa, pb = np.argwhere(a.data) * scale, np.argwhere(b.data) * scale
+    d_ab = float(cKDTree(pb).query(pa)[0].max())
+    d_sym = max(d_ab, float(cKDTree(pa).query(pb)[0].max()))
+    return {"directed": d_ab, "symmetric": d_sym, "both": (d_ab, d_sym)}[mode]
+
+
+def _exactness_pairs(rng, n):
+    """Random mask pairs cycling through the cases a boundary-only tree could
+    get wrong: subsets either way, equal masks, single voxels, masks on all
+    six faces of the grid, and grids with an axis of length 1."""
+    for k in range(n):
+        shape = [int(d) for d in rng.integers(1, 10, size=3)]
+        if k % 4 == 0:
+            shape[k % 3] = 1
+        spacing = tuple(rng.uniform(0.5, 3.0, size=3))
+        a = rng.uniform(size=shape) < rng.uniform(0.05, 0.8)
+        b = rng.uniform(size=shape) < rng.uniform(0.05, 0.8)
+        case = k % 6
+        if case == 1:
+            a &= b
+        elif case == 2:
+            b &= a
+        elif case == 3:
+            b = a.copy()
+        elif case == 4:
+            a, b = np.zeros(shape, bool), np.zeros(shape, bool)
+            a[tuple(rng.integers(0, shape))] = b[tuple(rng.integers(0, shape))] = True
+        elif case == 5:
+            b[[0, -1]] = True
+            b[:, [0, -1]] = True
+            b[..., [0, -1]] = True
+        yield _mask(a, spacing), _mask(b, spacing)
+
+
+class TestHausdorffFromBoundaries:
+    """hausdorff queries only the voxels of one mask outside the other, against
+    a tree over the other's boundary; it must equal the all-voxel tree."""
+
+    def test_equals_the_all_voxel_tree(self, rng):
+        checked = 0
+        for a, b in _exactness_pairs(rng, 300):
+            if not a.voxel_count() or not b.voxel_count():
+                continue
+            for mode in ("directed", "symmetric", "both"):
+                assert hausdorff(a, b, mode=mode) == _tree_hausdorff(a, b, mode), \
+                    (a.dims, a.spacing, mode)
+            checked += 1
+        assert checked >= 200
+
+    def test_trees_only_where_a_mask_leaves_the_other(self, monkeypatch):
+        built = []
+
+        def counting(points, *args, **kwargs):
+            built.append(len(points))
+            return cKDTree(points, *args, **kwargs)
+
+        monkeypatch.setattr(metrics, "cKDTree", counting)
+        cube = np.zeros((5, 5, 5))
+        cube[1:4, 1:4, 1:4] = 1  # 27 voxels, 26 on its boundary
+        inside = np.zeros((5, 5, 5))
+        inside[2, 2, 2] = 1
+        assert hausdorff(_mask(inside), _mask(cube), mode="both") == (0.0, np.sqrt(3))
+        assert built == [1]  # only cube -> inside, over inside's one voxel
+        built.clear()
+        assert hausdorff(_mask(cube), _mask(cube), mode="both") == (0.0, 0.0)
+        assert built == []
+        outside = np.zeros((5, 5, 5))
+        outside[0, 0, 0] = 1
+        hausdorff(_mask(outside), _mask(cube), mode="directed")
+        assert built == [26]
+
+
 class TestRmseAndVolume:
     def test_rmse_cases(self):
         a = _mask([[[1, 1], [0, 0]]])
@@ -177,6 +255,15 @@ class TestRmseAndVolume:
         assert rmse(a, b) == 1.0
         c = _mask([[[1, 0], [0, 0]]])
         assert abs(rmse(a, c) - 0.5) < 1e-12  # 1 of 4 voxels differs
+
+    def test_rmse_equals_the_float_formula(self, rng):
+        """The disagreement count gives the float64 mean bit for bit."""
+        for k in range(40):
+            shape = (7, 33, 29) if k % 2 else (3, 6, 6)
+            a, b = _pair(rng, shape=shape, p=rng.uniform(0.05, 0.95))
+            for x, y in ((a, b), (a, a), (a, _mask(1 - a.data))):
+                diff = x.data.astype(np.float64) - y.data.astype(np.float64)
+                assert rmse(x, y) == float(np.sqrt(np.mean(diff * diff)))
 
     def test_volume_mm3(self):
         m = _mask([[[1, 1], [1, 0]]], spacing=(2.0, 0.5, 0.5))

@@ -99,6 +99,17 @@ def test_mask_file_with_value_two_rejected_on_read():
         read_pvol(bytes(blob))
 
 
+def test_mask_label_check_names_the_values_found():
+    for bad, named in ((np.nan, "nan"), (-1.0, "-1"), (0.5, "0.5"), (2.0, "2")):
+        data = np.array([[[0.0, 1.0], [bad, 1.0]]])
+        with pytest.raises(SchemaError, match=f"found values .*{named}"):
+            MaskVolume(data)
+    labels = np.array([[[0, 1], [1, 0]]])
+    for data in (labels.astype(bool), labels.astype(np.float32), labels.astype(np.float64)):
+        mask = MaskVolume(data)
+        assert mask.data.dtype == np.uint8 and (mask.data == labels).all()
+
+
 def test_volume_rejects_nonfinite():
     data = np.zeros((1, 2, 2), dtype=np.float32)
     data[0, 0, 0] = np.nan
