@@ -9,7 +9,7 @@ from .errors import (ConfigError, DataError, MagicError, NumericalError,
 from .hybrid import (HybridStack, InferResult, SweepConfig, binarize,
                      build_hybrid, infer_pbr, sweep, update_map)
 from .phantom import PhantomSpec, gen_dataset, gen_phantom
-from .preprocess import augment, crop, preprocess
+from .preprocess import augment, preprocess
 from .pvol import (MaskVolume, ProbVolume, Volume, read_pvol, read_pvol_file,
                    write_pvol, write_pvol_file)
 from .unet import UNet, UNetConfig, architecture_specs, build_unet

@@ -47,20 +47,41 @@ def _check_grid(a: MaskVolume, b: MaskVolume) -> None:
                           f"spacing {a.spacing} vs {b.spacing}")
 
 
-def _counts(a, b):
-    ad = np.asarray(a.data if isinstance(a, MaskVolume) else a).astype(bool)
-    bd = np.asarray(b.data if isinstance(b, MaskVolume) else b).astype(bool)
-    inter = int(np.count_nonzero(ad & bd))
-    return inter, int(np.count_nonzero(ad)), int(np.count_nonzero(bd))
+def _counts(a, b, axis=None):
+    """(|a n b|, |a|, |b|) of two masks, nonzero being foreground: ints, or lists if axis is set."""
+    a, b = (np.asarray(m.data if isinstance(m, MaskVolume) else m, dtype=bool) for m in (a, b))
+    return tuple(np.count_nonzero(m, axis=axis).tolist() for m in (a & b, a, b))
+
+
+def _dice(inter, na, nb) -> float:
+    return 2.0 * inter / (na + nb) if na + nb else 1.0  # two empty masks agree
+
+
+def _iou(inter, na, nb) -> float:
+    return inter / (na + nb - inter) if na + nb else 1.0  # the union is empty only then
+
+
+def _recall(inter, npred, ngt, name="recall", empty="reference") -> float:
+    """inter / ngt; with gt empty, 1.0 if pred is empty too, else 0.0 and a warning."""
+    if ngt:
+        return inter / ngt
+    if npred:
+        warnings.warn(f"{name} undefined for empty {empty}; reporting 0.0")
+        return 0.0
+    return 1.0
+
+
+def _precision(inter, npred, ngt) -> float:
+    return _recall(inter, ngt, npred, "precision", "prediction")  # recall with the roles swapped
+
+
+def _rmse(inter, na, nb, size) -> float:
+    return float(np.sqrt((na + nb - 2 * inter) / size))  # |a| + |b| - 2|a n b| voxels differ
 
 
 def array_dsc(a, b) -> float:
-    """Dice similarity 2|a n b| / (|a| + |b|) of two same-shape masks,
-    nonzero meaning foreground; two empty masks agree (1.0)."""
-    inter, na, nb = _counts(a, b)
-    if na + nb == 0:
-        return 1.0
-    return 2.0 * inter / (na + nb)
+    """Dice 2|a n b| / (|a| + |b|) of two same-shape masks; two empty masks agree (1.0)."""
+    return _dice(*_counts(a, b))
 
 
 def dsc(a: MaskVolume, b: MaskVolume) -> float:
@@ -72,35 +93,19 @@ def dsc(a: MaskVolume, b: MaskVolume) -> float:
 def iou(a: MaskVolume, b: MaskVolume) -> float:
     """Intersection over union; two empty masks agree (1.0)."""
     _check_grid(a, b)
-    inter, na, nb = _counts(a, b)
-    union = na + nb - inter
-    if union == 0:
-        return 1.0
-    return inter / union
+    return _iou(*_counts(a, b))
 
 
 def recall(pred: MaskVolume, gt: MaskVolume) -> float:
     """Fraction of reference voxels recovered."""
     _check_grid(pred, gt)
-    inter, npred, ngt = _counts(pred, gt)
-    if ngt == 0:
-        if npred == 0:
-            return 1.0
-        warnings.warn("recall undefined for empty reference; reporting 0.0")
-        return 0.0
-    return inter / ngt
+    return _recall(*_counts(pred, gt))
 
 
 def precision(pred: MaskVolume, gt: MaskVolume) -> float:
     """Fraction of predicted voxels that are correct."""
     _check_grid(pred, gt)
-    inter, npred, ngt = _counts(pred, gt)
-    if npred == 0:
-        if ngt == 0:
-            return 1.0
-        warnings.warn("precision undefined for empty prediction; reporting 0.0")
-        return 0.0
-    return inter / npred
+    return _precision(*_counts(pred, gt))
 
 
 def _boundary(m: np.ndarray) -> np.ndarray:
@@ -147,7 +152,7 @@ def hausdorff(a: MaskVolume, b: MaskVolume, mode: str = "symmetric"):
 def rmse(pred: MaskVolume, gt: MaskVolume) -> float:
     """Per-voxel root mean squared error: the root of the fraction of voxels that differ."""
     _check_grid(pred, gt)
-    return float(np.sqrt(np.count_nonzero(pred.data != gt.data) / pred.data.size))
+    return _rmse(*_counts(pred, gt), pred.data.size)
 
 
 def volume_mm3(mask: MaskVolume) -> float:
@@ -157,24 +162,15 @@ def volume_mm3(mask: MaskVolume) -> float:
 
 def evaluate_volume(pred: MaskVolume, gt: MaskVolume, volume_id: str = "",
                     seconds: float = None) -> VolumeReport:
-    """All volume-level metrics for one prediction."""
+    """All volume-level metrics for one prediction, from one overlap count."""
     try:
-        hd_d, hd_s = hausdorff(pred, gt, mode="both")
+        hd_d, hd_s = hausdorff(pred, gt, mode="both")  # checks the grids first
     except UndefinedMetricError:
         hd_d = hd_s = None
-    return VolumeReport(
-        volume_id=volume_id,
-        dsc=dsc(pred, gt),
-        iou=iou(pred, gt),
-        recall=recall(pred, gt),
-        precision=precision(pred, gt),
-        hd_directed=hd_d,
-        hd_symmetric=hd_s,
-        rmse=rmse(pred, gt),
-        pred_voxels=pred.voxel_count(),
-        gt_voxels=gt.voxel_count(),
-        seconds=seconds,
-    )
+    counts = _counts(pred, gt)
+    return VolumeReport(volume_id, _dice(*counts), _iou(*counts), _recall(*counts),
+                        _precision(*counts), hd_d, hd_s, _rmse(*counts, pred.data.size),
+                        *counts[1:], seconds)
 
 
 def _head_tail(fg, n: int) -> set:
@@ -188,18 +184,10 @@ def evaluate_slices(pred: MaskVolume, gt: MaskVolume, volume_id: str = "",
                     head_tail_n: int = 3) -> list:
     """Per-slice Dice along the stacking axis, head/tail slices flagged."""
     _check_grid(pred, gt)
-    fg = [t for t in range(pred.dims[0]) if gt.data[t].any()]
-    head_tail = _head_tail(fg, head_tail_n)
-    out = []
-    for t in range(pred.dims[0]):
-        out.append(SliceReport(
-            volume_id=volume_id,
-            slice_index=t,
-            dsc=array_dsc(pred.data[t], gt.data[t]),
-            gt_pixels=int(np.count_nonzero(gt.data[t])),
-            is_head_or_tail=t in head_tail,
-        ))
-    return out
+    per_slice = list(zip(*_counts(pred, gt, axis=(1, 2))))
+    head_tail = _head_tail([t for t, (_, _, ngt) in enumerate(per_slice) if ngt], head_tail_n)
+    return [SliceReport(volume_id, t, _dice(*counts), counts[2], t in head_tail)
+            for t, counts in enumerate(per_slice)]
 
 
 def dsc_histogram(slice_reports, buckets=DSC_BUCKETS) -> dict:

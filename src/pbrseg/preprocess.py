@@ -31,14 +31,6 @@ def preprocess(v: Volume) -> Volume:
     return Volume(out.astype(np.float32), v.spacing)
 
 
-def crop(v: Volume, mask: MaskVolume, target_h: int, target_w: int):
-    """Crop both volumes in-plane to ``crop_box(mask, target_h, target_w)``."""
-    if v.dims != mask.dims:
-        raise ConfigError(f"volume/mask dims differ: {v.dims} vs {mask.dims}")
-    box = crop_box(mask, target_h, target_w)
-    return Volume(v.data[box].copy(), v.spacing), MaskVolume(mask.data[box].copy(), mask.spacing)
-
-
 def crop_box(mask: MaskVolume, target_h: int, target_w: int) -> tuple:
     """Index of the in-plane (target_h, target_w) window centered on the
     mask bounding box and clamped to the volume bounds."""

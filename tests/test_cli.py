@@ -21,7 +21,7 @@ from pbrseg.cli import _ids, main
 from pbrseg.metrics import (dsc_histogram, evaluate_slices, reliability_curve,
                             small_target_report, volume_agreement, volume_mm3)
 from pbrseg.phantom import PhantomSpec, gen_dataset, gen_phantom
-from pbrseg.preprocess import crop
+from pbrseg.preprocess import crop_box
 from pbrseg.pvol import MaskVolume, Volume, read_pvol_file, write_pvol_file
 from pbrseg.unet import UNetConfig, build_unet
 
@@ -565,8 +565,8 @@ class TestEvalOutputs:
         preds = tmp_path / "preds"
         preds.mkdir()
         for vid, gt in gts.items():
-            v = read_pvol_file(data / f"{vid}.pvol")
-            write_pvol_file(preds / f"pred_{vid}.pvol", crop(v, gt, 30, 34)[1])
+            cropped = MaskVolume(gt.data[crop_box(gt, 30, 34)], gt.spacing)
+            write_pvol_file(preds / f"pred_{vid}.pvol", cropped)
         run = tmp_path / "run"
         assert main(["eval", "--data", str(data), "--run", str(run), "--pred", str(preds),
                      "--crop", "30,34"]) == 0

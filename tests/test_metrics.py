@@ -2,6 +2,7 @@
 reporting helpers."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -323,6 +324,123 @@ class TestSliceReports:
         for n in (0, -1):
             with pytest.raises(ConfigError):
                 evaluate_slices(pred, gt, head_tail_n=n)
+
+
+def _recount(pred, gt, volume_id, head_tail_n):
+    """VolumeReport and SliceReports of a pair from a voxel-by-voxel count in
+    Python, each score by its textbook formula and its empty-mask rule."""
+    def counts(p, g):
+        pairs = list(zip(p.ravel().tolist(), g.ravel().tolist()))
+        return (sum(1 for x, y in pairs if x and y), sum(1 for x, _ in pairs if x),
+                sum(1 for _, y in pairs if y), sum(1 for x, y in pairs if x != y))
+
+    def dice(inter, na, nb):
+        return 1.0 if na + nb == 0 else 2.0 * inter / (na + nb)
+
+    inter, npred, ngt, differ = counts(pred.data, gt.data)
+    union = npred + ngt - inter
+    hd = ((None, None) if not npred or not ngt
+          else _tree_hausdorff(pred, gt, "both"))
+    volume = VolumeReport(
+        volume_id, dice(inter, npred, ngt), 1.0 if union == 0 else inter / union,
+        (1.0 if npred == 0 else 0.0) if ngt == 0 else inter / ngt,
+        (1.0 if ngt == 0 else 0.0) if npred == 0 else inter / npred,
+        *hd, float(np.sqrt(differ / pred.data.size)), npred, ngt, None)
+    per_slice = [counts(p, g) for p, g in zip(pred.data, gt.data)]
+    fg = [t for t, c in enumerate(per_slice) if c[2]]
+    ends = set(fg[:head_tail_n]) | set(fg[-head_tail_n:])
+    slices = [SliceReport(volume_id, t, dice(*c[:3]), c[2], t in ends)
+              for t, c in enumerate(per_slice)]
+    return volume, slices
+
+
+def _overlap_pairs(rng, n):
+    """Random mask pairs cycling through seven kinds: unconstrained, both empty,
+    an empty prediction, an empty reference, identical, disjoint, and empty
+    first and last slices; every fifth volume has one slice, and every other
+    volume a non-unit spacing."""
+    for k in range(n):
+        shape = [int(d) for d in rng.integers(1, 8, size=3)]
+        case = k % 7
+        if k % 5 == 0:
+            shape[0] = 1
+        elif case == 6:
+            shape[0] = max(shape[0], 3)
+        spacing = (1.0, 1.0, 1.0) if k % 2 else tuple(rng.uniform(0.5, 3.0, size=3))
+        a = rng.uniform(size=shape) < rng.uniform(0.05, 0.8)
+        b = rng.uniform(size=shape) < rng.uniform(0.05, 0.8)
+        if case in (1, 2):
+            a[:] = False
+        if case in (1, 3):
+            b[:] = False
+        elif case == 4:
+            b = a.copy()
+        elif case == 5:
+            b &= ~a
+        elif case == 6 and shape[0] >= 3:
+            a[[0, -1]] = b[[0, -1]] = False
+            a[1, 0, 0] = b[1, 0, 0] = True
+        yield _mask(a, spacing), _mask(b, spacing)
+
+
+class TestOneCountPerPair:
+    """evaluate_volume and evaluate_slices each score a pair from one overlap
+    count, and every score equals a voxel-by-voxel recount."""
+
+    def test_each_evaluation_counts_once(self, monkeypatch, rng):
+        calls = []
+        counts = metrics._counts
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("axis"))
+            return counts(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "_counts", counting)
+        pred, gt = _pair(rng, shape=(6, 8, 8), p=0.4)
+        evaluate_volume(pred, gt)
+        assert calls == [None]
+        calls.clear()
+        evaluate_slices(pred, gt)
+        assert calls == [(1, 2)]
+
+    def test_reports_equal_the_recount(self, rng):
+        for k, (pred, gt) in enumerate(_overlap_pairs(rng, 280)):
+            head_tail_n = 1 + k % 3
+            volume, slices = _recount(pred, gt, f"v{k}", head_tail_n)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # empty sides warn; the warning test checks them
+                got = evaluate_volume(pred, gt, volume_id=f"v{k}")
+            got_slices = evaluate_slices(pred, gt, volume_id=f"v{k}", head_tail_n=head_tail_n)
+            assert vars(got) == vars(volume), (k, pred.dims, pred.spacing)
+            assert [type(v) for v in vars(got).values()] == [type(v) for v in vars(volume).values()]
+            assert got_slices == slices, (k, pred.dims)
+            assert all(type(r.dsc) is float and type(r.gt_pixels) is int for r in got_slices)
+
+
+EMPTY_REFERENCE = "recall undefined for empty reference; reporting 0.0"
+EMPTY_PREDICTION = "precision undefined for empty prediction; reporting 0.0"
+
+
+class TestEmptyMaskWarnings:
+    def test_only_recall_and_precision_warn(self):
+        e = _mask(np.zeros((2, 2, 2)))
+        f = _mask([[[1, 0], [0, 0]], [[0, 0], [0, 0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x, y in ((e, e), (e, f), (f, e)):
+                for fn in (dsc, iou, rmse, evaluate_slices):
+                    fn(x, y)
+        for fn, x, y, messages in (
+                (recall, e, e, []), (recall, e, f, []), (recall, f, e, [EMPTY_REFERENCE]),
+                (precision, e, e, []), (precision, f, e, []),
+                (precision, e, f, [EMPTY_PREDICTION]),
+                (evaluate_volume, e, e, []), (evaluate_volume, e, f, [EMPTY_PREDICTION]),
+                (evaluate_volume, f, e, [EMPTY_REFERENCE])):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fn(x, y)
+            assert [(w.category, str(w.message)) for w in caught] == \
+                [(UserWarning, m) for m in messages], (fn.__name__, x.data.any(), y.data.any())
 
 
 class TestHistogram:
