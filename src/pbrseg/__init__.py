@@ -13,4 +13,4 @@ from .preprocess import augment, preprocess
 from .pvol import (MaskVolume, ProbVolume, Volume, read_pvol, read_pvol_file,
                    write_pvol, write_pvol_file)
 from .unet import UNet, UNetConfig, architecture_specs, build_unet
-from .views import estimate_initial, fuse_views, view_slices
+from .views import estimate_initial, view_slices

@@ -19,8 +19,7 @@ from .errors import ConfigError, DataError, NumericalError, read_input, write_ou
 from .hybrid import SweepConfig, binarize, infer_pbr
 from .metrics import (SliceReport, VolumeReport, dsc_histogram, evaluate_slices,
                       evaluate_volume, read_columns, read_slice_csv, reliability_curve,
-                      small_target_report, summarize, volume_agreement, volume_mm3,
-                      write_csv)
+                      small_target_report, summarize, volume_agreement, write_csv)
 from .phantom import PhantomSpec, gen_phantom, volume_seed
 from .preprocess import crop_box, preprocess
 from .pvol import MaskVolume, Volume, read_pvol_file, write_pvol_file
@@ -278,9 +277,10 @@ def _eval_set(masks, pred_dir: Path, prefix: str):
         pred = _read(pred_path, MaskVolume, (gt, gt_path))
         vol_reports.append(evaluate_volume(pred, gt, volume_id=vid))
         slice_reports.extend(evaluate_slices(pred, gt, volume_id=vid))
+        sz, sy, sx = gt.spacing  # the pred's too: _read checked the grid
         mm3["ids"].append(vid)
-        mm3["pred"].append(volume_mm3(pred))
-        mm3["gt"].append(volume_mm3(gt))
+        mm3["pred"].append(vol_reports[-1].pred_voxels * sz * sy * sx)
+        mm3["gt"].append(vol_reports[-1].gt_voxels * sz * sy * sx)
     return vol_reports, slice_reports, mm3
 
 
@@ -311,10 +311,13 @@ def cmd_report(args) -> int:
     slice_reports = read_slice_csv(reports / "slices.csv")
     mm3_path = reports / "volumes_mm3.json"
     mm3 = read_input(mm3_path, json.loads)
-    try:
-        pred_mm3, gt_mm3 = ([float(v) for v in mm3[key]] for key in ("pred", "gt"))
-    except (ValueError, KeyError, TypeError) as e:
-        raise DataError(f"malformed {mm3_path}: {e!r}") from None
+    pred_mm3, gt_mm3 = (mm3.get(key) if isinstance(mm3, dict) else None for key in ("pred", "gt"))
+    for key, values in (("pred", pred_mm3), ("gt", gt_mm3)):
+        # a bool is an int to Python; a NaN or inf would make agreement.json invalid JSON
+        for x in values if isinstance(values, list) else [values]:
+            if type(x) not in (int, float) or not abs(x) <= sys.float_info.max:
+                raise DataError(f"malformed {mm3_path}: {key!r} must be a list of finite "
+                                f"numbers, found {x!r}")
     if len(pred_mm3) != len(gt_mm3):
         raise DataError(f"{mm3_path}: {len(pred_mm3)} pred but {len(gt_mm3)} gt volumes")
 

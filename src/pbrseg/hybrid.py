@@ -64,13 +64,10 @@ class HybridStack:
         m = len(self)
         if not 0 <= t < m:
             raise ConfigError(f"slice {t} outside volume of {m}")
-        chans = []
-        for off in range(-self.depth, self.depth + 1):
-            if off == 0:
-                chans.append(self.image[t])
-            else:
-                chans.append(self.prob[min(max(t + off, 0), m - 1)])
-        return np.stack(chans, dtype=np.float32)
+        rows = np.arange(t - self.depth, t + self.depth + 1)  # "clip" clamps them to [0, m)
+        sample = np.take(self.prob, rows, axis=0, mode="clip").astype(np.float32, copy=False)
+        sample[self.depth] = self.image[t]
+        return sample
 
 
 def build_hybrid(v: Volume, p: ProbVolume, depth: int) -> HybridStack:

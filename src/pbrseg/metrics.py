@@ -155,11 +155,6 @@ def rmse(pred: MaskVolume, gt: MaskVolume) -> float:
     return _rmse(*_counts(pred, gt), pred.data.size)
 
 
-def volume_mm3(mask: MaskVolume) -> float:
-    sz, sy, sx = mask.spacing
-    return mask.voxel_count() * float(sz) * float(sy) * float(sx)
-
-
 def evaluate_volume(pred: MaskVolume, gt: MaskVolume, volume_id: str = "",
                     seconds: float = None) -> VolumeReport:
     """All volume-level metrics for one prediction, from one overlap count."""

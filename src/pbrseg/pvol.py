@@ -84,9 +84,6 @@ class MaskVolume(_Grid):
             raise SchemaError(f"mask labels must be 0/1, found values {np.unique(data)[:8]}")
         return data.astype(np.uint8)
 
-    def voxel_count(self) -> int:
-        return int(self.data.sum())
-
 
 class ProbVolume(_Grid):
     """Per-voxel foreground probabilities in [0, 1]."""

@@ -3,11 +3,11 @@
 A volume is sliced along each anatomical axis (axial by z, coronal by y,
 sagittal by x) by ``view_slices``, which training uses too. The initial
 estimate runs every view's slices through that view's network, in batches
-of ``BATCH``, and merges the per-view probability volumes by voxelwise
-averaging. Slices of any in-plane size work: ``unet.forward_padded`` pads
-them for the network and crops its output back. The forwards of all views
-run on every core (``parallel.run``); the fused map does not depend on how
-many.
+of ``BATCH``, on every core (``parallel.run``). Each batch's output is added
+into one float64 map where its slices came from, in view order and on the
+calling thread, and the sum is divided by the number of views: the fused
+map does not depend on the core count. Slices of any in-plane size work:
+``unet.forward_padded`` pads them for the network and crops its output back.
 """
 
 from __future__ import annotations
@@ -32,11 +32,6 @@ def orient(data: np.ndarray, view: str) -> np.ndarray:
     return np.transpose(data, _ORIENT[view])
 
 
-def unorient(data: np.ndarray, view: str) -> np.ndarray:
-    """Inverse of orient."""
-    return np.transpose(data, np.argsort(_ORIENT[view]))
-
-
 def view_slices(data: np.ndarray, view: str) -> np.ndarray:
     """All slices of `view` as a C-contiguous float32 (n, 1, h, w) batch."""
     if view not in _ORIENT:
@@ -49,28 +44,14 @@ def _forward(job):
     return forward_padded(net, slices)[:, 0]
 
 
-def fuse_views(*maps: ProbVolume) -> ProbVolume:
-    """Voxelwise arithmetic mean of per-view probability volumes."""
-    if not maps:
-        raise ConfigError("fuse_views needs at least one map")
-    dims = maps[0].dims
-    for p in maps[1:]:
-        if p.dims != dims:
-            raise ConfigError(f"fused map dims differ: {p.dims} vs {dims}")
-    acc = np.zeros(dims, dtype=np.float64)
-    for p in maps:
-        acc += p.data
-    acc /= len(maps)
-    return ProbVolume(acc.astype(np.float32), maps[0].spacing)
-
-
 def estimate_initial(nets: dict, v: Volume) -> ProbVolume:
     """Initial probabilistic map: per-view predictions fused by averaging.
 
     `nets` maps view names to single-channel networks; any subset of the
-    three views works (axial-only is the fast ablation mode). Every batch
-    of slices of every view is an independent forward, so the batches run
-    as jobs of ``parallel.run`` and come back in job order.
+    three views works (axial-only is the fast ablation mode). The batches
+    run as jobs of ``parallel.run``; their outputs are added here, in job
+    order, as batches of different views share voxels: adds made in the
+    pool would race, and each voxel's sum would depend on the schedule.
     """
     used = [view for view in VIEWS if view in nets]
     if not used:
@@ -78,12 +59,14 @@ def estimate_initial(nets: dict, v: Volume) -> ProbVolume:
     for view in used:
         if nets[view].in_channels != 1:
             raise ConfigError(f"view net must take 1 channel, has {nets[view].in_channels}")
-    slices = {view: view_slices(v.data, view) for view in used}
-    jobs = [(nets[view], slices[view][i:i + BATCH]) for view in used
-            for i in range(0, len(slices[view]), BATCH)]
-    probs = iter(parallel.run(_forward, jobs))
-    maps = []
+    acc = np.zeros(v.dims, dtype=np.float64)
+    jobs, places = [], []  # places[k] is the writable view of acc that job k fills
     for view in used:
-        p = np.concatenate([next(probs) for _ in range(0, len(slices[view]), BATCH)])
-        maps.append(ProbVolume(unorient(p, view).astype(np.float32), v.spacing))
-    return fuse_views(*maps)
+        slices = view_slices(v.data, view)
+        for i in range(0, len(slices), BATCH):
+            jobs.append((nets[view], slices[i:i + BATCH]))
+            places.append(orient(acc, view)[i:i + BATCH])
+    for place, prob in zip(places, parallel.run(_forward, jobs)):
+        place += prob
+    acc /= len(used)
+    return ProbVolume(acc.astype(np.float32), v.spacing)

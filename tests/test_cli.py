@@ -19,7 +19,7 @@ import pytest
 from pbrseg import cli, parallel
 from pbrseg.cli import _ids, main
 from pbrseg.metrics import (dsc_histogram, evaluate_slices, reliability_curve,
-                            small_target_report, volume_agreement, volume_mm3)
+                            small_target_report, volume_agreement)
 from pbrseg.phantom import PhantomSpec, gen_dataset, gen_phantom
 from pbrseg.preprocess import crop_box
 from pbrseg.pvol import MaskVolume, Volume, read_pvol_file, write_pvol_file
@@ -76,6 +76,13 @@ def _drop_last_gt(path):
     """Cut the last reference volume from a volumes_mm3.json."""
     mm3 = json.loads(path.read_text())
     path.write_text(json.dumps({**mm3, "gt": mm3["gt"][:-1]}))
+
+
+def _set_pred_mm3(pred):
+    """A corruption that sets the predicted volumes of a volumes_mm3.json."""
+    def corrupt(path):
+        path.write_text(json.dumps({**json.loads(path.read_text()), "pred": pred}))
+    return corrupt
 
 
 def _eval_tables(fabricated_run, tmp_path):
@@ -392,6 +399,13 @@ class TestExitCodes:
         ("run/reports/volumes_mm3.json", _as_directory, "report", ("volumes_mm3.json",)),
         ("run/reports/slices.csv", _as_directory, "report", ("slices.csv",)),
         ("run/reports/volumes_mm3.json", _drop_last_gt, "report", ("volumes_mm3.json",)),
+        ("run/reports/volumes_mm3.json", _set_pred_mm3("123"), "report", ("volumes_mm3.json",)),
+        ("run/reports/volumes_mm3.json", _set_pred_mm3([True, False, True]), "report",
+         ("volumes_mm3.json",)),
+        ("run/reports/volumes_mm3.json", _set_pred_mm3([1.0, float("nan"), 2.0]), "report",
+         ("volumes_mm3.json",)),
+        ("run/reports/volumes_mm3.json", _set_pred_mm3([1.0, 10 ** 400, 2.0]), "report",
+         ("volumes_mm3.json",)),  # past the float range
         ("data/phantom_000_mask.pvol", _as_intensities, "train-init",
          ("phantom_000_mask.pvol", "does not hold a binary mask")),
         ("data/phantom_000.pvol",
@@ -403,8 +417,9 @@ class TestExitCodes:
              "pred-spacing", "manifest-brace", "manifest-list", "manifest-dir",
              "empty-slices", "init-dir", "primary-truncated", "primary-garbage",
              "primary-name-not-utf8", "primary-no-channels", "train-primary-init-truncated",
-             "mm3-dir", "slices-dir", "mm3-unequal-lists", "mask-holds-intensities",
-             "volume-holds-mask", "pred-holds-intensities"))
+             "mm3-dir", "slices-dir", "mm3-unequal-lists", "mm3-string", "mm3-bools",
+             "mm3-nan", "mm3-huge-int", "mask-holds-intensities", "volume-holds-mask",
+             "pred-holds-intensities"))
     def test_data_contract(self, tmp_path, fabricated_run, target, corrupt, command, named):
         """Inputs that cannot be read or parsed, hold the wrong kind of volume,
         disagree with each other, or carry a spacing that is not finite and
@@ -613,8 +628,9 @@ class TestReportFidelity:
         preds, refs = [], []
         for vid, gt in sorted(gts.items()):
             pred = read_pvol_file(run / "volumes" / f"pred_{vid}.pvol")
-            preds.append(volume_mm3(pred))
-            refs.append(volume_mm3(gt))
+            for volumes, m in ((preds, pred), (refs, gt)):
+                sz, sy, sx = m.spacing
+                volumes.append(int(m.data.sum()) * sz * sy * sx)
         expect = volume_agreement(preds, refs)
         got = json.loads((run / "reports" / "agreement.json").read_text())
         assert got["n"] == 3

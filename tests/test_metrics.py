@@ -2,6 +2,7 @@
 reporting helpers."""
 
 import csv
+import json
 import warnings
 
 import numpy as np
@@ -14,8 +15,9 @@ from pbrseg.metrics import (DSC_BUCKETS, AgreementReport, SliceReport, VolumeRep
                             dsc, dsc_histogram, evaluate_slices, evaluate_volume,
                             hausdorff, iou, precision, read_columns, read_slice_csv,
                             recall, reliability_curve, rmse, small_target_report,
-                            summarize, volume_agreement, volume_mm3, write_csv)
-from pbrseg.pvol import MaskVolume
+                            summarize, volume_agreement, write_csv)
+from pbrseg.cli import main
+from pbrseg.pvol import MaskVolume, Volume, read_pvol_file, write_pvol_file
 
 
 def _mask(arr, spacing=(1.0, 1.0, 1.0)):
@@ -71,7 +73,7 @@ class TestOverlap:
     def test_recall_precision_duality(self, rng):
         for _ in range(20):
             a, b = _pair(rng)
-            if b.voxel_count() and a.voxel_count():
+            if b.data.any() and a.data.any():
                 assert recall(a, b) == precision(b, a)
 
     def test_both_empty_conventions(self):
@@ -162,7 +164,7 @@ class TestHausdorff:
         for k in range(60):
             spacing = (1.0, 1.0, 1.0) if k % 2 else (2.0, 0.7, 0.7)
             a, b = _pair(rng, shape=(3, 5, 5), p=0.25)
-            if not a.voxel_count() or not b.voxel_count():
+            if not a.data.any() or not b.data.any():
                 continue
             a = _mask(a.data, spacing)
             b = _mask(b.data, spacing)
@@ -217,7 +219,7 @@ class TestHausdorffFromBoundaries:
     def test_equals_the_all_voxel_tree(self, rng):
         checked = 0
         for a, b in _exactness_pairs(rng, 300):
-            if not a.voxel_count() or not b.voxel_count():
+            if not a.data.any() or not b.data.any():
                 continue
             for mode in ("directed", "symmetric", "both"):
                 assert hausdorff(a, b, mode=mode) == _tree_hausdorff(a, b, mode), \
@@ -266,9 +268,24 @@ class TestRmseAndVolume:
                 diff = x.data.astype(np.float64) - y.data.astype(np.float64)
                 assert rmse(x, y) == float(np.sqrt(np.mean(diff * diff)))
 
-    def test_volume_mm3(self):
-        m = _mask([[[1, 1], [1, 0]]], spacing=(2.0, 0.5, 0.5))
-        assert volume_mm3(m) == 3 * 2.0 * 0.5 * 0.5
+    def test_eval_volumes_mm3_are_counts_times_spacing(self, rng, tmp_path):
+        """eval's volumes_mm3.json holds each mask's voxel count times its
+        voxel volume, on a spacing of three different values."""
+        data, run = tmp_path / "data", tmp_path / "run"
+        gts, preds = {}, {}
+        for vid in ("vol_0", "vol_1"):
+            gts[vid], preds[vid] = (_mask(rng.uniform(size=(4, 9, 7)) < 0.4, (2.5, 0.7, 0.3))
+                                    for _ in range(2))
+            write_pvol_file(data / f"{vid}.pvol", Volume(rng.standard_normal((4, 9, 7))))
+            write_pvol_file(data / f"{vid}_mask.pvol", gts[vid])
+            write_pvol_file(run / "volumes" / f"pred_{vid}.pvol", preds[vid])
+        assert main(["eval", "--data", str(data), "--run", str(run)]) == 0
+        got = json.loads((run / "reports" / "volumes_mm3.json").read_text())
+        assert got["ids"] == ["vol_0", "vol_1"]
+        sz, sy, sx = read_pvol_file(data / "vol_0_mask.pvol").spacing  # as float32 stores it
+        for key, masks in (("gt", gts), ("pred", preds)):
+            assert got[key] == [int(np.count_nonzero(m.data)) * sz * sy * sx
+                                for m in masks.values()]
 
 
 class TestVolumeReport:

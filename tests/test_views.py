@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from pbrseg import parallel
+from pbrseg import parallel, views
 from pbrseg.errors import ConfigError
 from pbrseg.pvol import ProbVolume, Volume
-from pbrseg.unet import UNetConfig, build_unet
-from pbrseg.views import (VIEWS, estimate_initial, fuse_views, orient, unorient,
-                          view_slices)
+from pbrseg.unet import UNetConfig, build_unet, forward_padded
+from pbrseg.views import BATCH, VIEWS, estimate_initial, orient, view_slices
 
 
 class _StubNet:
@@ -39,12 +38,6 @@ def test_orient_shapes():
     assert orient(data, "axial").shape == (32, 64, 48)
     assert orient(data, "coronal").shape == (64, 32, 48)
     assert orient(data, "sagittal").shape == (48, 32, 64)
-
-
-def test_unorient_inverts_orient(rng):
-    data = rng.standard_normal((5, 7, 9))
-    for view in VIEWS:
-        np.testing.assert_array_equal(unorient(orient(data, view), view), data)
 
 
 def test_orient_voxel_correspondence(rng):
@@ -104,35 +97,6 @@ def test_estimate_initial_rejects_multichannel_net(rng):
         estimate_initial({"axial": net}, v)
 
 
-def test_fuse_views_mean():
-    a = ProbVolume(np.full((2, 4, 4), 0.2, dtype=np.float32))
-    b = ProbVolume(np.full((2, 4, 4), 0.4, dtype=np.float32))
-    c = ProbVolume(np.full((2, 4, 4), 0.9, dtype=np.float32))
-    fused = fuse_views(a, b, c)
-    np.testing.assert_allclose(fused.data, 0.5, atol=1e-7)
-
-
-def test_fuse_views_permutation_invariant(rng):
-    maps = [ProbVolume(rng.uniform(size=(3, 5, 5)).astype(np.float32)) for _ in range(3)]
-    f1 = fuse_views(*maps)
-    f2 = fuse_views(maps[2], maps[0], maps[1])
-    np.testing.assert_array_equal(f1.data, f2.data)
-
-
-def test_fuse_single_map_identity(rng):
-    p = ProbVolume(rng.uniform(size=(2, 3, 3)).astype(np.float32))
-    np.testing.assert_allclose(fuse_views(p).data, p.data, atol=1e-7)
-
-
-def test_fuse_dims_mismatch():
-    a = ProbVolume(np.zeros((2, 4, 4), dtype=np.float32))
-    b = ProbVolume(np.zeros((2, 4, 5), dtype=np.float32))
-    with pytest.raises(ConfigError):
-        fuse_views(a, b)
-    with pytest.raises(ConfigError):
-        fuse_views()
-
-
 def test_estimate_initial_subset_of_views(rng):
     v = Volume(rng.standard_normal((4, 32, 32)).astype(np.float32))
     p = estimate_initial({"axial": _StubNet(0.2), "sagittal": _StubNet(0.8)}, v)
@@ -155,6 +119,60 @@ def test_estimate_initial_same_bytes_on_one_and_two_threads(rng, monkeypatch):
         monkeypatch.setattr(parallel, "cores", lambda n=n: n)
         maps.append(estimate_initial(nets, v).data.tobytes())
     assert maps[0] == maps[1]
+
+
+def _per_view_reference(nets, v):
+    """The estimate built view by view: each view's whole map, put back in
+    (z, y, x) order and cast to float32, then summed in float64 in VIEWS
+    order, divided by the number of views and cast to float32."""
+    used = [view for view in VIEWS if view in nets]
+    acc = np.zeros(v.dims, dtype=np.float64)
+    for view in used:
+        slices = view_slices(v.data, view)
+        p = np.concatenate([forward_padded(nets[view], slices[i:i + BATCH])[:, 0]
+                            for i in range(0, len(slices), BATCH)])
+        acc += np.moveaxis(p, 0, VIEWS.index(view)).astype(np.float32)
+    acc /= len(used)
+    return acc.astype(np.float32)
+
+
+@pytest.fixture(scope="module")
+def three_nets():
+    return {view: build_unet(UNetConfig(1, base_width=8), seed=i)
+            for i, view in enumerate(VIEWS)}
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_estimate_initial_equals_the_per_view_sum(rng, monkeypatch, three_nets, threads):
+    """Every view pads a 10x30x17 volume; the map must equal the per-view
+    sum bit for bit, for every subset of views."""
+    monkeypatch.setattr(parallel, "cores", lambda: threads)
+    v = Volume(rng.standard_normal((10, 30, 17)).astype(np.float32))
+    for used in (VIEWS, ("axial",), ("coronal", "sagittal")):
+        nets = {view: three_nets[view] for view in used}
+        assert estimate_initial(nets, v).data.tobytes() == _per_view_reference(nets, v).tobytes()
+
+
+def test_estimate_initial_ignores_the_key_order_of_nets(rng, three_nets):
+    v = Volume(rng.standard_normal((10, 30, 17)).astype(np.float32))
+    reordered = dict(reversed(list(three_nets.items())))
+    assert estimate_initial(reordered, v).data.tobytes() == \
+        estimate_initial(three_nets, v).data.tobytes()
+
+
+def test_estimate_initial_builds_one_prob_volume(rng, monkeypatch):
+    """The batches add into one map, which is checked once as a ProbVolume."""
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args[0].shape)
+        return ProbVolume(*args, **kwargs)
+
+    monkeypatch.setattr(views, "ProbVolume", counted)
+    v = Volume(rng.standard_normal((10, 30, 17)).astype(np.float32))
+    p = estimate_initial({view: _StubNet(0.25) for view in VIEWS}, v)
+    assert built == [(10, 30, 17)]
+    np.testing.assert_array_equal(p.data, np.full((10, 30, 17), 0.25, dtype=np.float32))
 
 
 def test_estimate_initial_no_views():
