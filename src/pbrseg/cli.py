@@ -18,8 +18,9 @@ from .checkpoint import checkpoint_digest
 from .errors import ConfigError, DataError, NumericalError, read_input, write_output
 from .hybrid import SweepConfig, binarize, infer_pbr
 from .metrics import (SliceReport, VolumeReport, dsc_histogram, evaluate_slices,
-                      evaluate_volume, read_columns, read_slice_csv, reliability_curve,
-                      small_target_report, summarize, volume_agreement, write_csv)
+                      evaluate_volume, parse_dsc, read_columns, read_slice_csv,
+                      reliability_curve, small_target_report, summarize, volume_agreement,
+                      write_csv)
 from .phantom import PhantomSpec, gen_phantom, volume_seed
 from .preprocess import crop_box, preprocess
 from .pvol import MaskVolume, Volume, read_pvol_file, write_pvol_file
@@ -307,7 +308,7 @@ def cmd_report(args) -> int:
     for name in ("volumes.csv", "slices.csv", "volumes_mm3.json"):
         if not (reports / name).exists():
             raise DataError(f"missing {reports / name}: run eval first")
-    volume_dscs = read_columns(reports / "volumes.csv", {"dsc": float})["dsc"]
+    volume_dscs = read_columns(reports / "volumes.csv", {"dsc": parse_dsc})["dsc"]
     slice_reports = read_slice_csv(reports / "slices.csv")
     mm3_path = reports / "volumes_mm3.json"
     mm3 = read_input(mm3_path, json.loads)

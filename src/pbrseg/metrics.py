@@ -1,8 +1,6 @@
 """Mask evaluation battery: overlap scores, distances, histograms,
 reliability curves, volume-agreement statistics, small-target cohorts."""
 
-from __future__ import annotations
-
 import csv
 import io
 import warnings
@@ -29,7 +27,6 @@ class VolumeReport:
     rmse: float
     pred_voxels: int
     gt_voxels: int
-    seconds: float = None
 
 
 @dataclass
@@ -38,7 +35,6 @@ class SliceReport:
     slice_index: int
     dsc: float
     gt_pixels: int
-    is_head_or_tail: bool
 
 
 def _check_grid(a: MaskVolume, b: MaskVolume) -> None:
@@ -155,8 +151,7 @@ def rmse(pred: MaskVolume, gt: MaskVolume) -> float:
     return _rmse(*_counts(pred, gt), pred.data.size)
 
 
-def evaluate_volume(pred: MaskVolume, gt: MaskVolume, volume_id: str = "",
-                    seconds: float = None) -> VolumeReport:
+def evaluate_volume(pred: MaskVolume, gt: MaskVolume, volume_id: str = "") -> VolumeReport:
     """All volume-level metrics for one prediction, from one overlap count."""
     try:
         hd_d, hd_s = hausdorff(pred, gt, mode="both")  # checks the grids first
@@ -165,34 +160,25 @@ def evaluate_volume(pred: MaskVolume, gt: MaskVolume, volume_id: str = "",
     counts = _counts(pred, gt)
     return VolumeReport(volume_id, _dice(*counts), _iou(*counts), _recall(*counts),
                         _precision(*counts), hd_d, hd_s, _rmse(*counts, pred.data.size),
-                        *counts[1:], seconds)
+                        *counts[1:])
 
 
-def _head_tail(fg, n: int) -> set:
-    """The first and last n of the ascending foreground slice indices fg."""
-    if n < 1:  # fg[-0:] is every slice, so n = 0 must not mean "all of them"
-        raise ConfigError(f"head_tail_n must be >= 1, got {n}")
-    return set(fg[:n]) | set(fg[-n:])
-
-
-def evaluate_slices(pred: MaskVolume, gt: MaskVolume, volume_id: str = "",
-                    head_tail_n: int = 3) -> list:
-    """Per-slice Dice along the stacking axis, head/tail slices flagged."""
+def evaluate_slices(pred: MaskVolume, gt: MaskVolume, volume_id: str = "") -> list:
+    """Dice and reference area of every slice along the stacking axis;
+    ``small_target_report`` takes the head/tail cohort from them."""
     _check_grid(pred, gt)
-    per_slice = list(zip(*_counts(pred, gt, axis=(1, 2))))
-    head_tail = _head_tail([t for t, (_, _, ngt) in enumerate(per_slice) if ngt], head_tail_n)
-    return [SliceReport(volume_id, t, _dice(*counts), counts[2], t in head_tail)
-            for t, counts in enumerate(per_slice)]
+    return [SliceReport(volume_id, t, _dice(*counts), counts[2])
+            for t, counts in enumerate(zip(*_counts(pred, gt, axis=(1, 2))))]
 
 
-def dsc_histogram(slice_reports, buckets=DSC_BUCKETS) -> dict:
-    """Counts of slices per Dice interval; intervals are [lo, hi) except
-    the last, which is closed. Scores outside the buckets count in no
+def dsc_histogram(slice_reports) -> dict:
+    """Counts of slices per DSC_BUCKETS interval; intervals are [lo, hi)
+    except the last, which is closed. Scores outside the buckets count in no
     interval but in the total."""
-    counts = np.histogram([r.dsc for r in slice_reports], buckets)[0].tolist()
+    counts = np.histogram([r.dsc for r in slice_reports], DSC_BUCKETS)[0].tolist()
     n = len(slice_reports)
     percent = [100.0 * c / n if n else 0.0 for c in counts]
-    return {"edges": list(zip(buckets[:-1], buckets[1:])), "counts": counts,
+    return {"edges": list(zip(DSC_BUCKETS[:-1], DSC_BUCKETS[1:])), "counts": counts,
             "percent": percent, "total": n}
 
 
@@ -254,10 +240,10 @@ def _cohort_stats(members) -> dict:
 
 def small_target_report(slice_reports, area_threshold: int = 300,
                         head_tail_n: int = 3) -> dict:
-    """Dice statistics over the hard cohorts: the first/last n foreground
-    slices of each volume, and slices whose reference area is at most
-    area_threshold pixels. A slice with Dice 0 counts as failed."""
-    if head_tail_n < 1:  # _head_tail checks it too, but only runs on a volume
+    """Dice statistics over the hard cohorts: the first/last n foreground slices
+    of each volume (the one head/tail rule), and slices whose reference area
+    is at most area_threshold pixels. A slice with Dice 0 counts as failed."""
+    if head_tail_n < 1:  # fg[-0:] is every slice, so n = 0 must not mean "all of them"
         raise ConfigError(f"head_tail_n must be >= 1, got {head_tail_n}")
     by_volume = {}
     for r in slice_reports:
@@ -265,7 +251,7 @@ def small_target_report(slice_reports, area_threshold: int = 300,
     head_tail = []
     for by_slice in by_volume.values():
         fg = sorted(t for t, r in by_slice.items() if r.gt_pixels > 0)
-        head_tail += [by_slice[t] for t in sorted(_head_tail(fg, head_tail_n))]
+        head_tail += [by_slice[t] for t in sorted(set(fg[:head_tail_n] + fg[-head_tail_n:]))]
     small = [r for r in slice_reports if 0 < r.gt_pixels <= area_threshold]
     return {
         "area_threshold": area_threshold,
@@ -280,7 +266,7 @@ def _fmt(x, spec) -> str:
         return ""
     if isinstance(x, str):
         return x
-    if spec is None and isinstance(x, (bool, int, np.integer)):
+    if spec is None and isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(x, spec or ".6f")
 
@@ -297,8 +283,11 @@ def write_csv(reports, path, cls) -> None:
     write_output(path, table.getvalue())
 
 
-_PARSE = {"str": str, "int": int, "float": float,  # by field annotation, a string here
-          "bool": {"0": False, "1": True}.__getitem__}
+def parse_dsc(text: str) -> float:
+    """A Dice score read back from a table: a number in [0, 1]."""
+    if not 0.0 <= float(text) <= 1.0:  # nan fails this too
+        raise ValueError(f"Dice score must be a number in [0, 1], got {text!r}")
+    return float(text)
 
 
 def read_columns(path, parsers: dict) -> dict:
@@ -325,7 +314,8 @@ def read_columns(path, parsers: dict) -> dict:
 
 def read_slice_csv(path) -> list:
     """The SliceReports of a file ``write_csv(..., SliceReport)`` wrote."""
-    columns = read_columns(path, {f.name: _PARSE[f.type] for f in fields(SliceReport)})
+    parsers = {f.name: f.type for f in fields(SliceReport)}
+    columns = read_columns(path, {**parsers, "dsc": parse_dsc})
     return [SliceReport(*row) for row in zip(*columns.values())]
 
 
@@ -333,7 +323,7 @@ def summarize(volume_reports) -> dict:
     """Mean/std/min/max per metric across volumes (std is the sample
     deviation; undefined metrics are dropped from their column)."""
     out = {"n_volumes": len(volume_reports)}
-    for col in ("dsc", "iou", "recall", "precision", "hd_directed", "hd_symmetric", "rmse"):
+    for col in (f.name for f in fields(VolumeReport) if f.type is float):
         vals = np.asarray([getattr(r, col) for r in volume_reports
                            if getattr(r, col) is not None], dtype=np.float64)
         if vals.size == 0:

@@ -4,6 +4,7 @@ an end-to-end pipeline smoke on tiny phantoms."""
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -11,6 +12,7 @@ import struct
 import subprocess
 import sys
 import threading
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +20,8 @@ import pytest
 
 from pbrseg import cli, parallel
 from pbrseg.cli import _ids, main
-from pbrseg.metrics import (dsc_histogram, evaluate_slices, reliability_curve,
-                            small_target_report, volume_agreement)
+from pbrseg.metrics import (SliceReport, VolumeReport, dsc_histogram, evaluate_slices,
+                            reliability_curve, small_target_report, volume_agreement)
 from pbrseg.phantom import PhantomSpec, gen_dataset, gen_phantom
 from pbrseg.preprocess import crop_box
 from pbrseg.pvol import MaskVolume, Volume, read_pvol_file, write_pvol_file
@@ -83,6 +85,27 @@ def _set_pred_mm3(pred):
     def corrupt(path):
         path.write_text(json.dumps({**json.loads(path.read_text()), "pred": pred}))
     return corrupt
+
+
+def _set_foreground_dsc(value):
+    """A corruption that sets the dsc of the first slices.csv row with reference pixels."""
+    def corrupt(text):
+        lines = text.splitlines()
+        k = next(k for k, line in enumerate(lines[1:], 1) if int(line.split(",")[3]) > 0)
+        cells = lines[k].split(",")
+        lines[k] = ",".join([*cells[:2], value, *cells[3:]])
+        return "".join(line + "\n" for line in lines)
+    return corrupt
+
+
+def _append_column(path, name, value):
+    """Append a column to a CSV table, value(row) giving each row's cell."""
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    assert name not in rows[0]
+    table = io.StringIO()
+    csv.writer(table).writerows([rows[0] + [name], *(row + [value(row)] for row in rows[1:])])
+    path.write_text(table.getvalue(), newline="")
 
 
 def _eval_tables(fabricated_run, tmp_path):
@@ -279,13 +302,17 @@ class TestExitCodes:
     @pytest.mark.parametrize("name, corrupt, named", [
         ("slices.csv", lambda text: "".join(line.rsplit(",", 1)[0] + "\n"
                                             for line in text.splitlines()),
-         ("slices.csv", "is_head_or_tail")),  # the last column dropped
+         ("slices.csv", "gt_pixels")),  # the last column dropped
+        ("slices.csv", _set_foreground_dsc("nan"), ("slices.csv", "dsc", "nan")),
         ("volumes_mm3.json", lambda text: "{", ("volumes_mm3.json",)),
         ("volumes_mm3.json", lambda text: text.replace('"pred": [', '"pred": ["x", '),
          ("volumes_mm3.json", "'x'")),
         ("volumes.csv", lambda text: text.replace("phantom_000,1.000000,", "phantom_000,abc,"),
-         ("volumes.csv", "dsc", "abc"))],
-        ids=("slices.csv", "volumes_mm3.json", "volumes_mm3.json-values", "volumes.csv"))
+         ("volumes.csv", "dsc", "abc")),
+        ("volumes.csv", lambda text: text.replace("phantom_000,1.000000,", "phantom_000,7.5,"),
+         ("volumes.csv", "dsc", "7.5"))],
+        ids=("slices.csv", "slices.csv-nan-dsc", "volumes_mm3.json", "volumes_mm3.json-values",
+             "volumes.csv", "volumes.csv-dsc-above-one"))
     def test_malformed_eval_table(self, tmp_path, capsys, fabricated_run, name, corrupt,
                                   named):
         run = _eval_tables(fabricated_run, tmp_path)
@@ -646,6 +673,55 @@ class TestReportFidelity:
         assert got["small"]["count"] == expect["small"]["count"]
         assert got["small"]["mean_dsc"] == pytest.approx(expect["small"]["mean_dsc"],
                                                          abs=1e-6)
+
+
+class TestEvalTables:
+    """eval's tables hold only what eval measured; the head/tail cohort is
+    taken by report alone, at its --head-tail-n."""
+
+    def test_head_tail_cohort_is_the_ends_of_each_reference(self, fabricated_run, tmp_path):
+        _, _, gts = fabricated_run
+        run = _eval_tables(fabricated_run, tmp_path)
+        with open(run / "reports" / "slices.csv", newline="") as f:
+            header = next(csv.reader(f))
+        assert header == [f.name for f in fields(SliceReport)] == [
+            "volume_id", "slice_index", "dsc", "gt_pixels"]
+        for n, flags in ((3, []), (5, ["--head-tail-n", "5"])):
+            assert main(["report", "--run", str(run), *flags]) == 0
+            got = json.loads((run / "reports" / "small_targets.json").read_text())
+            expect = []
+            for vid, gt in sorted(gts.items()):
+                fg = [t for t in range(gt.dims[0]) if gt.data[t].any()]
+                expect += [[vid, t] for t in fg if t in fg[:n] or t in fg[-n:]]
+            assert got["head_tail_n"] == n
+            assert got["head_tail"]["slices"] == expect
+            assert got["head_tail"]["count"] == len(expect)
+
+    def test_every_column_holds_a_value(self, fabricated_run):
+        """On non-empty masks no column is empty in every row."""
+        _, run, _ = fabricated_run
+        for name, cls in (("volumes", VolumeReport), ("slices", SliceReport)):
+            for tag in ("", "_init"):
+                with open(run / "reports" / f"{name}{tag}.csv", newline="") as f:
+                    rows = list(csv.DictReader(f))
+                assert rows and list(rows[0]) == [f.name for f in fields(cls)]
+                assert [c for c in rows[0] if not any(row[c] for row in rows)] == [], name + tag
+
+    def test_report_reads_tables_of_older_runs(self, fabricated_run, tmp_path):
+        """Tables in the former format, volumes.csv ending in an empty seconds
+        column and slices.csv in an is_head_or_tail column (here flagging every
+        foreground slice, which no n gives), yield the same reports."""
+        written = {}
+        for old in (False, True):
+            run = _eval_tables(fabricated_run, tmp_path / str(old))
+            if old:
+                _append_column(run / "reports" / "volumes.csv", "seconds", lambda row: "")
+                _append_column(run / "reports" / "slices.csv", "is_head_or_tail",
+                               lambda row: str(int(int(row[3]) > 0)))
+            assert main(["report", "--run", str(run)]) == 0
+            written[old] = {name: (run / "reports" / name).read_bytes() for name in (
+                "histogram.json", "reliability.csv", "agreement.json", "small_targets.json")}
+        assert written[True] == written[False]
 
 
 @pytest.fixture(scope="module")

@@ -292,11 +292,10 @@ class TestVolumeReport:
     def test_fields(self):
         pred = _mask([[[1, 1], [0, 0]]])
         gt = _mask([[[1, 0], [0, 0]]])
-        r = evaluate_volume(pred, gt, volume_id="v0", seconds=1.5)
+        r = evaluate_volume(pred, gt, volume_id="v0")
         assert r.volume_id == "v0"
         assert r.dsc == 2 / 3
         assert r.pred_voxels == 2 and r.gt_voxels == 1
-        assert r.seconds == 1.5
         assert r.hd_symmetric == 1.0
 
     def test_hd_none_on_empty(self):
@@ -326,24 +325,21 @@ class TestSliceReports:
         assert [r.gt_pixels for r in reports] == [0, 4, 4, 4, 4, 0]
 
     def test_head_tail_flags(self):
+        """small_target_report takes the cohort from these reports: at n = 1
+        it is the first and last foreground slices, 1 and 4."""
         pred, gt = self._volumes()
-        reports = evaluate_slices(pred, gt, head_tail_n=1)
-        assert [r.is_head_or_tail for r in reports] == [False, True, False, False, True, False]
+        rep = small_target_report(evaluate_slices(pred, gt), head_tail_n=1)
+        assert rep["head_tail"]["slices"] == [("", 1), ("", 4)]
 
     def test_head_tail_overlap_when_short(self):
+        """Fewer foreground slices than n: each is in the cohort once."""
         gt = np.zeros((4, 2, 2), dtype=np.uint8)
         gt[1] = 1
-        reports = evaluate_slices(_mask(gt), _mask(gt), head_tail_n=3)
-        assert [r.is_head_or_tail for r in reports] == [False, True, False, False]
-
-    def test_head_tail_n_below_one_rejected(self):
-        pred, gt = self._volumes()
-        for n in (0, -1):
-            with pytest.raises(ConfigError):
-                evaluate_slices(pred, gt, head_tail_n=n)
+        rep = small_target_report(evaluate_slices(_mask(gt), _mask(gt)), head_tail_n=3)
+        assert rep["head_tail"]["slices"] == [("", 1)]
 
 
-def _recount(pred, gt, volume_id, head_tail_n):
+def _recount(pred, gt, volume_id):
     """VolumeReport and SliceReports of a pair from a voxel-by-voxel count in
     Python, each score by its textbook formula and its empty-mask rule."""
     def counts(p, g):
@@ -362,12 +358,9 @@ def _recount(pred, gt, volume_id, head_tail_n):
         volume_id, dice(inter, npred, ngt), 1.0 if union == 0 else inter / union,
         (1.0 if npred == 0 else 0.0) if ngt == 0 else inter / ngt,
         (1.0 if ngt == 0 else 0.0) if npred == 0 else inter / npred,
-        *hd, float(np.sqrt(differ / pred.data.size)), npred, ngt, None)
-    per_slice = [counts(p, g) for p, g in zip(pred.data, gt.data)]
-    fg = [t for t, c in enumerate(per_slice) if c[2]]
-    ends = set(fg[:head_tail_n]) | set(fg[-head_tail_n:])
-    slices = [SliceReport(volume_id, t, dice(*c[:3]), c[2], t in ends)
-              for t, c in enumerate(per_slice)]
+        *hd, float(np.sqrt(differ / pred.data.size)), npred, ngt)
+    slices = [SliceReport(volume_id, t, dice(*c[:3]), c[2])
+              for t, c in enumerate(counts(p, g) for p, g in zip(pred.data, gt.data))]
     return volume, slices
 
 
@@ -422,12 +415,11 @@ class TestOneCountPerPair:
 
     def test_reports_equal_the_recount(self, rng):
         for k, (pred, gt) in enumerate(_overlap_pairs(rng, 280)):
-            head_tail_n = 1 + k % 3
-            volume, slices = _recount(pred, gt, f"v{k}", head_tail_n)
+            volume, slices = _recount(pred, gt, f"v{k}")
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # empty sides warn; the warning test checks them
                 got = evaluate_volume(pred, gt, volume_id=f"v{k}")
-            got_slices = evaluate_slices(pred, gt, volume_id=f"v{k}", head_tail_n=head_tail_n)
+            got_slices = evaluate_slices(pred, gt, volume_id=f"v{k}")
             assert vars(got) == vars(volume), (k, pred.dims, pred.spacing)
             assert [type(v) for v in vars(got).values()] == [type(v) for v in vars(volume).values()]
             assert got_slices == slices, (k, pred.dims)
@@ -463,7 +455,7 @@ class TestEmptyMaskWarnings:
 class TestHistogram:
     def test_partition_and_boundaries(self):
         scores = [0.0, 0.3, 0.5, 0.55, 0.6, 0.85, 0.95, 1.0]
-        reports = [SliceReport("v", i, s, 1, False) for i, s in enumerate(scores)]
+        reports = [SliceReport("v", i, s, 1) for i, s in enumerate(scores)]
         h = dsc_histogram(reports)
         assert h["total"] == 8
         assert sum(h["counts"]) == 8
@@ -475,11 +467,6 @@ class TestHistogram:
         h = dsc_histogram([])
         assert h["total"] == 0 and sum(h["counts"]) == 0
 
-    def test_custom_buckets(self):
-        reports = [SliceReport("v", 0, 0.25, 1, False)]
-        h = dsc_histogram(reports, buckets=(0.0, 0.5, 1.0))
-        assert h["counts"] == [1, 0]
-
     def test_counts_follow_the_interval_rule(self):
         """Each score lands in the one [lo, hi) that holds it, the last
         interval closed; scores outside every interval land nowhere."""
@@ -487,7 +474,7 @@ class TestHistogram:
         near = np.concatenate([np.nextafter(edges, -np.inf), edges,
                                np.nextafter(edges, np.inf)])
         scores = np.concatenate([near, np.random.default_rng(5).uniform(-0.1, 1.1, 500)])
-        h = dsc_histogram([SliceReport("v", i, float(s), 1, False)
+        h = dsc_histogram([SliceReport("v", i, float(s), 1)
                            for i, s in enumerate(scores)])
         last = len(edges) - 2
         expect = [sum(1 for s in scores if lo <= s < hi or (j == last and s == hi))
@@ -584,12 +571,12 @@ class TestSmallTargets:
         out = []
         # volume a: foreground on slices 2..7, areas ramp 10..510
         for i, t in enumerate(range(2, 8)):
-            out.append(SliceReport("a", t, 0.9 if i else 0.0, 10 + 100 * i, False))
+            out.append(SliceReport("a", t, 0.9 if i else 0.0, 10 + 100 * i))
         # volume b: foreground on slices 0..3
         for i, t in enumerate(range(4)):
-            out.append(SliceReport("b", t, 0.5, 250, False))
+            out.append(SliceReport("b", t, 0.5, 250))
         # background slices never join a cohort
-        out.append(SliceReport("a", 0, 1.0, 0, False))
+        out.append(SliceReport("a", 0, 1.0, 0))
         return out
 
     def test_recount_against_oracle(self):
@@ -605,8 +592,8 @@ class TestSmallTargets:
         assert rep["small"]["failed"] == 1  # the dice-0 slice has area 10
 
     def test_cohort_stats_values(self):
-        reports = [SliceReport("v", 0, 0.2, 5, False),
-                   SliceReport("v", 1, 0.8, 5, False)]
+        reports = [SliceReport("v", 0, 0.2, 5),
+                   SliceReport("v", 1, 0.8, 5)]
         rep = small_target_report(reports, area_threshold=10, head_tail_n=1)
         small = rep["small"]
         assert small["count"] == 2
@@ -617,7 +604,7 @@ class TestSmallTargets:
 
     def test_short_volume_dedup(self):
         """A single foreground slice is both head and tail, counted once."""
-        reports = [SliceReport("v", 3, 0.7, 40, True)]
+        reports = [SliceReport("v", 3, 0.7, 40)]
         rep = small_target_report(reports, head_tail_n=3)
         assert rep["head_tail"]["count"] == 1
 
@@ -635,14 +622,14 @@ class TestSmallTargets:
         assert rep["small"]["mean_dsc"] is None
         assert rep["head_tail"]["failed"] == 0
 
-    def test_cohort_is_the_slices_evaluate_slices_flags(self):
+    def test_cohort_is_the_first_and_last_n_foreground_slices(self):
         """One head/tail rule: over random masks, including volumes with no
-        foreground and with a single foreground slice, the cohort is the
-        set of slices evaluate_slices flags."""
+        foreground and with a single foreground slice, the cohort is a
+        brute-force recount of the first and last n foreground slices."""
         rng = np.random.default_rng(11)
         for trial in range(40):
             n = 1 + trial % 4
-            reports = []
+            reports, flagged = [], []
             for v in range(3):
                 depth = int(rng.integers(1, 12))
                 gt = (rng.uniform(size=(depth, 3, 3)) < 0.3).astype(np.uint8)
@@ -652,8 +639,9 @@ class TestSmallTargets:
                     if trial % 2:
                         gt[rng.integers(depth), 1, 1] = 1
                 pred = (rng.uniform(size=gt.shape) < 0.3).astype(np.uint8)
-                reports += evaluate_slices(_mask(pred), _mask(gt), f"v{v}", head_tail_n=n)
-            flagged = [(r.volume_id, r.slice_index) for r in reports if r.is_head_or_tail]
+                reports += evaluate_slices(_mask(pred), _mask(gt), f"v{v}")
+                fg = [t for t in range(depth) if gt[t].any()]
+                flagged += [(f"v{v}", t) for t in range(depth) if t in fg[:n] or t in fg[-n:]]
             cohort = small_target_report(reports, head_tail_n=n)["head_tail"]
             assert cohort["slices"] == flagged
             assert cohort["count"] == len(flagged)
@@ -663,7 +651,7 @@ class TestCsvAndSummary:
     def test_volume_csv_roundtrip(self, tmp_path):
         pred = _mask([[[1, 1], [0, 0]]])
         gt = _mask([[[1, 0], [0, 0]]])
-        rows = [evaluate_volume(pred, gt, "v0", seconds=None)]
+        rows = [evaluate_volume(pred, gt, "v0")]
         path = tmp_path / "volumes.csv"
         write_csv(rows, path, VolumeReport)
         with open(path) as f:
@@ -672,16 +660,6 @@ class TestCsvAndSummary:
         assert parsed[0]["volume_id"] == "v0"
         assert parsed[0]["dsc"] == "0.666667"
         assert parsed[0]["pred_voxels"] == "2"
-        assert parsed[0]["seconds"] == ""
-
-    def test_slice_csv_booleans(self, tmp_path):
-        rows = [SliceReport("v", 0, 1.0, 0, False), SliceReport("v", 1, 0.5, 9, True)]
-        path = tmp_path / "slices.csv"
-        write_csv(rows, path, SliceReport)
-        with open(path) as f:
-            parsed = list(csv.DictReader(f))
-        assert [r["is_head_or_tail"] for r in parsed] == ["0", "1"]
-        assert parsed[1]["dsc"] == "0.500000"
 
     def test_header_is_the_dataclass_fields(self, tmp_path):
         for cls in (VolumeReport, SliceReport):
@@ -691,25 +669,27 @@ class TestCsvAndSummary:
 
     def test_slice_csv_reads_back_what_was_written(self, tmp_path):
         rng = np.random.default_rng(3)
-        rows = [SliceReport(f"vol_{i % 3}", i, float(rng.uniform()), int(rng.integers(0, 500)),
-                            bool(i % 2)) for i in range(20)]
-        rows.append(SliceReport("v", 20, 1.0, 0, False))
+        rows = [SliceReport(f"vol_{i % 3}", i, float(rng.uniform()), int(rng.integers(0, 500)))
+                for i in range(20)]
+        rows.append(SliceReport("v", 20, 1.0, 0))
         path = tmp_path / "slices.csv"
         write_csv(rows, path, SliceReport)
         back = read_slice_csv(path)
         assert back == [SliceReport(r.volume_id, r.slice_index, float(f"{r.dsc:.6f}"),
-                                    r.gt_pixels, r.is_head_or_tail) for r in rows]
+                                    r.gt_pixels) for r in rows]
         again = tmp_path / "again.csv"
         write_csv(back, again, SliceReport)
         assert again.read_bytes() == path.read_bytes()
 
     def test_read_errors_name_the_file_and_column(self, tmp_path):
         path = tmp_path / "slices.csv"
-        write_csv([SliceReport("v", 0, 0.5, 3, True)], path, SliceReport)
+        write_csv([SliceReport("v", 0, 0.5, 3)], path, SliceReport)
         good = path.read_text()
-        for text, column in ((good.replace(",is_head_or_tail", ""), "is_head_or_tail"),
+        for text, column in ((good.replace(",gt_pixels", ""), "gt_pixels"),
                              (good.replace("0.500000", "abc"), "dsc"),
-                             (good.replace(",1\n", ",yes\n"), "is_head_or_tail"),
+                             (good.replace("0.500000", "1.5"), "dsc"),
+                             (good.replace("0.500000", "nan"), "dsc"),
+                             (good.replace(",3\n", ",yes\n"), "gt_pixels"),
                              (good.replace("v,0,", "v,0.5,"), "slice_index")):
             path.write_text(text)
             with pytest.raises(DataError, match=f"slices.csv: bad or missing {column}"):
