@@ -25,7 +25,7 @@ from .phantom import PhantomSpec, gen_phantom, volume_seed
 from .preprocess import crop_box, preprocess
 from .pvol import MaskVolume, Volume, read_pvol_file, write_pvol_file
 from .training import EpochLog, Phase, TrainSchedule, train_initial, train_primary
-from .unet import UNet
+from .unet import UNet, UNetConfig
 from .views import VIEWS
 
 
@@ -99,7 +99,6 @@ def _load(data_dir, ids=None, crop_hw=None, images=True):
     """(id, mask path, volume, mask) of each volume/mask pair under data_dir
     that the id filter keeps, cut to the crop window; the volume is
     preprocessed, or None when images is false and it is not read."""
-    data_dir = Path(data_dir)
     if not data_dir.is_dir():
         raise DataError(f"data directory {data_dir} does not exist")
     out = []
@@ -139,19 +138,8 @@ def _machine() -> dict:
             "blas_version": blas.get("version")}
 
 
-def _write_manifest(outdir: Path, command: str, args, digests: dict) -> None:
-    cfg = {}
-    for k, v in sorted(vars(args).items()):
-        if k == "func":
-            continue
-        if isinstance(v, Path):
-            v = str(v)
-        elif isinstance(v, frozenset):
-            v = sorted(v)
-        cfg[k] = v
-    manifest = {"command": command, "version": __version__, "config": cfg,
-                "checkpoints": dict(sorted(digests.items())), "machine": _machine()}
-    _write_json(Path(outdir) / f"manifest_{command.replace('-', '_')}.json", manifest)
+def _manifest_path(outdir: Path, command: str) -> Path:
+    return outdir / f"manifest_{command.replace('-', '_')}.json"
 
 
 def _load_net(path: Path) -> tuple:
@@ -164,7 +152,7 @@ def _load_init_nets(ckpt_dir: Path, views) -> tuple:
     ``init_<view>`` as in the manifests."""
     nets, digests = {}, {}
     for view in views:
-        nets[view], digests[f"init_{view}"] = _load_net(Path(ckpt_dir) / f"init_{view}.pbrw")
+        nets[view], digests[f"init_{view}"] = _load_net(ckpt_dir / f"init_{view}.pbrw")
     return nets, digests
 
 
@@ -178,21 +166,17 @@ def _save_net(run: Path, name: str, net, logs, log_name: str) -> str:
 
 # -- subcommands ------------------------------------------------------------
 
-def cmd_phantom(args) -> int:
-    out = Path(args.out)
+def cmd_phantom(args) -> None:
     for i in range(args.count):
-        spec = PhantomSpec(seed=volume_seed(args.seed, i), dims=args.dims,
-                           contrast=args.contrast, noise_std=args.noise,
-                           distractors=args.distractors, min_radius=args.min_radius,
-                           max_radius=args.max_radius, taper=args.taper)
-        v, m = gen_phantom(spec)
-        write_pvol_file(out / f"phantom_{i:03d}.pvol", v)
-        write_pvol_file(out / f"phantom_{i:03d}_mask.pvol", m)
-    _write_manifest(out, "phantom", args, {})
-    return 0
+        v, m = gen_phantom(PhantomSpec(
+            seed=volume_seed(args.seed, i), dims=args.dims, contrast=args.contrast,
+            noise_std=args.noise, distractors=args.distractors, min_radius=args.min_radius,
+            max_radius=args.max_radius, taper=args.taper))
+        write_pvol_file(args.out / f"phantom_{i:03d}.pvol", v)
+        write_pvol_file(args.out / f"phantom_{i:03d}_mask.pvol", m)
 
 
-def cmd_train_init(args) -> int:
+def cmd_train_init(args) -> dict:
     dataset = [(v, m) for _, _, v, m in _load(args.data, args.ids, args.crop)]
     schedule = TrainSchedule((Phase("sgd", args.sgd_lr, args.sgd_epochs),
                               Phase("adam", args.adam_lr, args.adam_epochs)),
@@ -201,34 +185,29 @@ def cmd_train_init(args) -> int:
     trained = parallel.run(
         lambda view: train_initial(dataset, view, schedule, args.seed, args.base_width),
         args.views)
-    digests = {f"init_{view}": _save_net(Path(args.run), f"init_{view}", net, logs,
-                                         f"train_init_{view}")
-               for view, (net, logs) in zip(args.views, trained)}
-    _write_manifest(args.run, "train-init", args, digests)
-    return 0
+    return {f"init_{view}": _save_net(args.run, f"init_{view}", net, logs, f"train_init_{view}")
+            for view, (net, logs) in zip(args.views, trained)}
 
 
-def cmd_train_primary(args) -> int:
+def cmd_train_primary(args) -> dict:
     dataset = [(v, m) for _, _, v, m in _load(args.data, args.ids, args.crop)]
-    init_nets = {}
-    if not args.teacher_forced:
-        init_nets, _ = _load_init_nets(Path(args.run) / "checkpoints", args.views)
+    init_nets, digests = (({}, {}) if args.teacher_forced
+                          else _load_init_nets(args.run / "checkpoints", args.views))
     schedule = TrainSchedule((Phase("adam", args.lr, args.epochs),),
                              args.val_fraction, args.patience, args.augment)
     net, logs = train_primary(dataset, init_nets, args.depth, schedule, args.seed,
                               teacher_forced=args.teacher_forced,
                               base_width=args.base_width)
     name = f"primary_d{args.depth}"
-    digest = _save_net(Path(args.run), name, net, logs, "train_primary")
-    _write_manifest(args.run, "train-primary", args, {name: digest})
-    return 0
+    digests[name] = _save_net(args.run, name, net, logs, "train_primary")
+    return digests
 
 
 def _check_trained_views(run: Path, name: str, digest: str, views) -> None:
     """Refuse views other than the ones the run's train-primary manifest
     records for the checkpoint with this digest; with no such record nothing
     is checked."""
-    path = Path(run) / "manifest_train_primary.json"
+    path = _manifest_path(run, "train-primary")
     manifest = read_input(path, json.loads) if path.exists() else {}
     try:
         config = manifest.get("config", {})
@@ -241,8 +220,8 @@ def _check_trained_views(run: Path, name: str, digest: str, views) -> None:
                           f"not on {sorted(set(views))}")
 
 
-def cmd_infer(args) -> int:
-    ckpt_dir = Path(args.run) / "checkpoints"
+def cmd_infer(args) -> dict:
+    ckpt_dir = args.run / "checkpoints"
     init_nets, digests = _load_init_nets(ckpt_dir, args.views)
     primary_path = ckpt_dir / f"primary_d{args.depth}.pbrw"
     # train=False forwards keep no state, so every pool thread can share one net
@@ -250,7 +229,7 @@ def cmd_infer(args) -> int:
     _check_trained_views(args.run, primary_path.stem, digests["primary"], args.views)
     config = SweepConfig(args.depth, args.threshold, args.sweeps)
     pairs = _load(args.data, args.ids, args.crop)
-    out = Path(args.run) / "volumes"
+    out = args.run / "volumes"
 
     def run_one(item):
         vid, _, v, _ = item
@@ -267,15 +246,13 @@ def cmd_infer(args) -> int:
     write_output(out / "timing.jsonl", "".join(
         json.dumps({"volume": vid, "stage": stage, "seconds": seconds}) + "\n"
         for vid, timings in sorted(results) for stage, seconds in timings))
-    _write_manifest(args.run, "infer", args, digests)
-    return 0
+    return digests
 
 
 def _eval_set(masks, pred_dir: Path, prefix: str):
     vol_reports, slice_reports, mm3 = [], [], {"ids": [], "pred": [], "gt": []}
     for vid, gt_path, _, gt in masks:
-        pred_path = Path(pred_dir) / f"{prefix}{vid}.pvol"
-        pred = _read(pred_path, MaskVolume, (gt, gt_path))
+        pred = _read(pred_dir / f"{prefix}{vid}.pvol", MaskVolume, (gt, gt_path))
         vol_reports.append(evaluate_volume(pred, gt, volume_id=vid))
         slice_reports.extend(evaluate_slices(pred, gt, volume_id=vid))
         sz, sy, sx = gt.spacing  # the pred's too: _read checked the grid
@@ -285,26 +262,23 @@ def _eval_set(masks, pred_dir: Path, prefix: str):
     return vol_reports, slice_reports, mm3
 
 
-def cmd_eval(args) -> int:
-    pred_dir = Path(args.pred) if args.pred else Path(args.run) / "volumes"
+def cmd_eval(args) -> None:
+    pred_dir = args.pred or args.run / "volumes"
     masks = _load(args.data, args.ids, args.crop, images=False)
-    scored = []  # every prediction is read before the first table is written
-    for prefix, tag in (("pred_", ""), ("pred_init_", "_init")):
-        if tag and not any((pred_dir / f"{prefix}{vid}.pvol").exists() for vid, *_ in masks):
-            continue
-        scored.append((tag, _eval_set(masks, pred_dir, prefix)))
-    out = Path(args.run) / "reports"
+    # every prediction is read before the first table is written
+    scored = [(tag, _eval_set(masks, pred_dir, prefix))
+              for prefix, tag in (("pred_", ""), ("pred_init_", "_init"))
+              if not tag or any((pred_dir / f"{prefix}{vid}.pvol").exists() for vid, *_ in masks)]
+    out = args.run / "reports"
     for tag, (vols, slices, mm3) in scored:
         write_csv(vols, out / f"volumes{tag}.csv", VolumeReport)
         write_csv(slices, out / f"slices{tag}.csv", SliceReport)
         _write_json(out / f"summary{tag}.json", summarize(vols))
         _write_json(out / f"volumes_mm3{tag}.json", mm3)
-    _write_manifest(args.run, "eval", args, {})
-    return 0
 
 
-def cmd_report(args) -> int:
-    reports = Path(args.run) / "reports"
+def cmd_report(args) -> None:
+    reports = args.run / "reports"
     for name in ("volumes.csv", "slices.csv", "volumes_mm3.json"):
         if not (reports / name).exists():
             raise DataError(f"missing {reports / name}: run eval first")
@@ -333,8 +307,6 @@ def cmd_report(args) -> int:
         f"{t:.2f},{frac:.6f}\r\n" for t, frac in curve))  # the csv module's line ends
     _write_json(reports / "agreement.json", vars(agreement))
     _write_json(reports / "small_targets.json", small)
-    _write_manifest(args.run, "report", args, {})
-    return 0
 
 
 # -- parser -----------------------------------------------------------------
@@ -349,13 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--count", type=_ranged(int, 0), default=20)
     p.add_argument("--seed", type=_ranged(int, 0), default=0)
-    p.add_argument("--dims", type=_sizes("m,h,w"), default=(32, 64, 64))
-    p.add_argument("--contrast", type=float, default=90.0)
-    p.add_argument("--noise", type=float, default=18.0)
-    p.add_argument("--distractors", type=_ranged(int, 0), default=3)
-    p.add_argument("--min-radius", type=float, default=1.6)
-    p.add_argument("--max-radius", type=float, default=12.0)
-    p.add_argument("--taper", type=int, default=6)
+    p.add_argument("--dims", type=_sizes("m,h,w"), default=PhantomSpec.dims)
+    p.add_argument("--contrast", type=float, default=PhantomSpec.contrast)
+    p.add_argument("--noise", type=float, default=PhantomSpec.noise_std)
+    p.add_argument("--distractors", type=_ranged(int, 0), default=PhantomSpec.distractors)
+    p.add_argument("--min-radius", type=float, default=PhantomSpec.min_radius)
+    p.add_argument("--max-radius", type=float, default=PhantomSpec.max_radius)
+    p.add_argument("--taper", type=int, default=PhantomSpec.taper)
     p.set_defaults(func=cmd_phantom)
 
     def common(p):
@@ -368,10 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
     def training(p):
         common(p)
         p.add_argument("--seed", type=_ranged(int, 0), default=0)
-        p.add_argument("--patience", type=_ranged(int, 1), default=20)
-        p.add_argument("--val-fraction", type=_ranged(float, 0, below=1), default=0.01)
+        p.add_argument("--patience", type=_ranged(int, 1), default=TrainSchedule.patience)
+        p.add_argument("--val-fraction", type=_ranged(float, 0, below=1),
+                       default=TrainSchedule.val_fraction)
         p.add_argument("--augment", action="store_true")
-        p.add_argument("--base-width", type=_ranged(int, 1), default=8)
+        p.add_argument("--base-width", type=_ranged(int, 1), default=UNetConfig.base_width)
 
     p = sub.add_parser("train-init", help="train per-view estimation nets")
     training(p)
@@ -385,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-primary", help="train the refinement net")
     training(p)
     p.add_argument("--views", type=_views_arg, default=("axial",))
-    p.add_argument("--depth", type=int, default=1, choices=(1, 2, 3))
+    p.add_argument("--depth", type=int, default=SweepConfig.depth, choices=(1, 2, 3))
     p.add_argument("--epochs", type=_ranged(int, 0), default=6)
     p.add_argument("--lr", type=_ranged(float, 0), default=5e-4)
     p.add_argument("--teacher-forced", action="store_true")
@@ -394,9 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", help="run refinement inference")
     common(p)
     p.add_argument("--views", type=_views_arg, default=("axial",))
-    p.add_argument("--depth", type=int, default=1, choices=(1, 2, 3))
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--sweeps", choices=("both", "forward"), default="both")
+    p.add_argument("--depth", type=int, default=SweepConfig.depth, choices=(1, 2, 3))
+    p.add_argument("--threshold", type=float, default=SweepConfig.threshold)
+    p.add_argument("--sweeps", choices=("both", "forward"), default=SweepConfig.sweeps)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
@@ -414,12 +387,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Parse the flags, run the command, and write its manifest with the
+    checkpoint digests it returns; map a failure to its exit code."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 0 if (e.code or 0) == 0 else 1
     try:
-        return args.func(args) or 0
+        digests = args.func(args) or {}
+        config = {k: str(v) if isinstance(v, Path) else sorted(v) if isinstance(v, frozenset)
+                  else v for k, v in vars(args).items() if k != "func"}
+        outdir = args.out if args.command == "phantom" else args.run
+        _write_json(_manifest_path(outdir, args.command),
+                    {"command": args.command, "version": __version__, "config": config,
+                     "checkpoints": dict(sorted(digests.items())), "machine": _machine()})
+        return 0
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -312,11 +312,22 @@ def read_columns(path, parsers: dict) -> dict:
     return read_input(path, parse)
 
 
+def _count(text: str) -> int:
+    """A slice index or pixel count read back from a table: an integer >= 0."""
+    if int(text) < 0:
+        raise ValueError(f"must be >= 0, got {text!r}")
+    return int(text)
+
+
 def read_slice_csv(path) -> list:
-    """The SliceReports of a file ``write_csv(..., SliceReport)`` wrote."""
-    parsers = {f.name: f.type for f in fields(SliceReport)}
-    columns = read_columns(path, {**parsers, "dsc": parse_dsc})
-    return [SliceReport(*row) for row in zip(*columns.values())]
+    """The SliceReports of a ``write_csv(..., SliceReport)`` table, each slice listed once."""
+    columns = read_columns(path, {"volume_id": str, "slice_index": _count,
+                                  "dsc": parse_dsc, "gt_pixels": _count})
+    reports = {}
+    for r in map(SliceReport, *columns.values()):
+        if reports.setdefault((r.volume_id, r.slice_index), r) is not r:
+            raise DataError(f"{path}: slice {r.slice_index} of {r.volume_id} is listed twice")
+    return list(reports.values())
 
 
 def summarize(volume_reports) -> dict:

@@ -10,6 +10,8 @@ from scipy import ndimage
 from .errors import ConfigError, DataError
 from .pvol import MaskVolume, Volume
 
+MAX_STEP = 0.8  # the most the centerline moves per slice, in voxels
+
 
 @dataclass(frozen=True)
 class PhantomSpec:
@@ -24,14 +26,12 @@ class PhantomSpec:
 
     seed: int = 0
     dims: tuple = (32, 64, 64)
-    max_step: float = 0.8
     min_radius: float = 1.6
     max_radius: float = 12.0
     taper: int = 6
     contrast: float = 90.0
     noise_std: float = 18.0
     distractors: int = 3
-    spacing: tuple = (1.0, 1.0, 1.0)
 
 
 def _center_bounds(spec: PhantomSpec) -> tuple:
@@ -43,15 +43,13 @@ def _center_bounds(spec: PhantomSpec) -> tuple:
 
 def _validate(spec: PhantomSpec) -> None:
     m, _, _ = spec.dims
-    for name in ("min_radius", "max_radius", "max_step", "contrast", "noise_std"):
+    for name in ("min_radius", "max_radius", "contrast", "noise_std"):
         if not np.isfinite(value := getattr(spec, name)):
             raise ConfigError(f"{name} must be finite, got {value}")
     if spec.min_radius <= 0 or spec.max_radius < spec.min_radius:
         raise ConfigError(f"bad radius profile [{spec.min_radius}, {spec.max_radius}]")
     if spec.taper < 1:
         raise ConfigError(f"taper must be >= 1, got {spec.taper}")
-    if spec.max_step <= 0 or spec.max_step > 1.0:
-        raise ConfigError(f"max_step must be in (0, 1], got {spec.max_step}")
     if spec.noise_std < 0:
         raise ConfigError(f"noise_std must be >= 0, got {spec.noise_std}")
     lo, hi = _center_bounds(spec)
@@ -75,11 +73,11 @@ def _centerline(spec: PhantomSpec, rng: np.random.Generator, nf: int) -> np.ndar
     out = np.empty((nf, 2))
     for k in range(nf):
         out[k] = pos
-        kick = rng.uniform(-spec.max_step, spec.max_step, size=2)
+        kick = rng.uniform(-MAX_STEP, MAX_STEP, size=2)
         vel = 0.7 * vel + 0.3 * kick
         norm = np.hypot(*vel)
-        if norm > spec.max_step:
-            vel *= spec.max_step / norm
+        if norm > MAX_STEP:
+            vel *= MAX_STEP / norm
         pos = np.clip(pos + vel, lo, hi)
     return out
 
@@ -138,8 +136,7 @@ def gen_phantom(spec: PhantomSpec):
         _add_distractors(spec, rng, image, mask)
     image += rng.normal(0.0, spec.noise_std, size=spec.dims)
 
-    return (Volume(image.astype(np.float32), spec.spacing),
-            MaskVolume(mask, spec.spacing))
+    return Volume(image.astype(np.float32)), MaskVolume(mask)
 
 
 def volume_seed(base_seed: int, i: int) -> int:

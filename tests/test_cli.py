@@ -87,15 +87,24 @@ def _set_pred_mm3(pred):
     return corrupt
 
 
-def _set_foreground_dsc(value):
-    """A corruption that sets the dsc of the first slices.csv row with reference pixels."""
+def _on_first_foreground_row(edit):
+    """A slices.csv corruption: edit(lines, k) changes the lines of the
+    table in place, k being the first row with reference pixels."""
     def corrupt(text):
         lines = text.splitlines()
-        k = next(k for k, line in enumerate(lines[1:], 1) if int(line.split(",")[3]) > 0)
-        cells = lines[k].split(",")
-        lines[k] = ",".join([*cells[:2], value, *cells[3:]])
+        edit(lines, next(k for k, line in enumerate(lines[1:], 1)
+                         if int(line.split(",")[3]) > 0))
         return "".join(line + "\n" for line in lines)
     return corrupt
+
+
+def _set_foreground_cell(column, value):
+    """A corruption that sets one cell of the first slices.csv row with reference pixels."""
+    def edit(lines, k):
+        cells = lines[k].split(",")
+        cells[column] = value
+        lines[k] = ",".join(cells)
+    return _on_first_foreground_row(edit)
 
 
 def _append_column(path, name, value):
@@ -303,7 +312,11 @@ class TestExitCodes:
         ("slices.csv", lambda text: "".join(line.rsplit(",", 1)[0] + "\n"
                                             for line in text.splitlines()),
          ("slices.csv", "gt_pixels")),  # the last column dropped
-        ("slices.csv", _set_foreground_dsc("nan"), ("slices.csv", "dsc", "nan")),
+        ("slices.csv", _set_foreground_cell(2, "nan"), ("slices.csv", "dsc", "nan")),
+        ("slices.csv", _set_foreground_cell(3, "-8"), ("slices.csv", "gt_pixels", "'-8'")),
+        ("slices.csv", _set_foreground_cell(1, "-1"), ("slices.csv", "slice_index", "'-1'")),
+        ("slices.csv", _on_first_foreground_row(lambda lines, k: lines.insert(k, lines[k])),
+         ("slices.csv", "of phantom_000 is listed twice")),
         ("volumes_mm3.json", lambda text: "{", ("volumes_mm3.json",)),
         ("volumes_mm3.json", lambda text: text.replace('"pred": [', '"pred": ["x", '),
          ("volumes_mm3.json", "'x'")),
@@ -311,8 +324,9 @@ class TestExitCodes:
          ("volumes.csv", "dsc", "abc")),
         ("volumes.csv", lambda text: text.replace("phantom_000,1.000000,", "phantom_000,7.5,"),
          ("volumes.csv", "dsc", "7.5"))],
-        ids=("slices.csv", "slices.csv-nan-dsc", "volumes_mm3.json", "volumes_mm3.json-values",
-             "volumes.csv", "volumes.csv-dsc-above-one"))
+        ids=("slices.csv", "slices.csv-nan-dsc", "slices.csv-negative-gt-pixels",
+             "slices.csv-negative-slice-index", "slices.csv-repeated-slice", "volumes_mm3.json",
+             "volumes_mm3.json-values", "volumes.csv", "volumes.csv-dsc-above-one"))
     def test_malformed_eval_table(self, tmp_path, capsys, fabricated_run, name, corrupt,
                                   named):
         run = _eval_tables(fabricated_run, tmp_path)
@@ -475,6 +489,67 @@ class TestExitCodes:
         assert done.returncode == 2, done.stderr
         assert "Traceback" not in done.stderr
         assert all(name in done.stderr for name in named), done.stderr
+
+
+class TestManifests:
+    @pytest.mark.parametrize("command, checkpoints", [
+        ("phantom", []),
+        ("train-init", ["init_axial"]),
+        ("train-primary", ["init_axial", "primary_d1"]),
+        ("infer", ["init_axial", "primary"]),
+        ("eval", []),
+        ("report", [])],
+        ids=("phantom", "train-init", "train-primary", "infer", "eval", "report"))
+    def test_one_manifest_per_command(self, tmp_path, capsys, fabricated_run, command,
+                                      checkpoints):
+        """A success adds exactly one manifest_<command>.json, to --out or
+        --run, whose config is the parsed flags; a failure writes none."""
+        data, run = _untrained_run(tmp_path)
+        _eval_tables(fabricated_run, tmp_path)
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        shutil.copy(data / "phantom_000_mask.pvol", preds / "pred_phantom_000.pvol")
+        where = ["--data", str(data), "--run", str(run), "--ids", "3,0-1"]
+        phantom = ["phantom", "--out", str(tmp_path / "phantoms"), "--count", "1",
+                   "--dims", "22,48,48", "--max-radius", "6", "--taper", "3"]
+        argv, failing = {
+            "phantom": (phantom, [*phantom, "--taper", "0"]),
+            "train-init": (["train-init", *where, "--base-width", "2", "--sgd-epochs", "0",
+                            "--adam-epochs", "0"],
+                           ["train-init", "--data", str(tmp_path / "nope"), "--run", str(run)]),
+            "train-primary": (["train-primary", *where, "--base-width", "2", "--epochs", "0"],
+                              ["train-primary", *where, "--views", "coronal"]),
+            "infer": (["infer", *where], ["infer", *where, "--depth", "2"]),
+            "eval": (["eval", *where, "--pred", str(preds)],
+                     ["eval", *where, "--pred", str(tmp_path / "nope")]),
+            "report": (["report", "--run", str(run)], ["report", "--run", str(data)])}[command]
+        assert main(failing) in (1, 2)
+        assert list(tmp_path.rglob("manifest_*")) == []
+
+        assert main(argv) == 0, capsys.readouterr().err
+        outdir = tmp_path / "phantoms" if command == "phantom" else run
+        assert list(tmp_path.rglob("manifest_*")) == [
+            outdir / f"manifest_{command.replace('-', '_')}.json"]
+        manifest = json.loads(next(outdir.glob("manifest_*")).read_text())
+        assert sorted(manifest) == ["checkpoints", "command", "config", "machine", "version"]
+        assert manifest["command"] == command
+        assert sorted(manifest["checkpoints"]) == checkpoints
+        parsed = vars(cli.build_parser().parse_args(argv))
+        del parsed["func"]
+        for key in ("out", "data", "run", "pred"):
+            if key in parsed:
+                parsed[key] = str(parsed[key])
+        if "ids" in parsed:
+            parsed["ids"] = [0, 1, 3]
+        assert manifest["config"] == json.loads(json.dumps(parsed))
+
+    def test_teacher_forced_records_no_init_nets(self, tmp_path):
+        data, run = _untrained_run(tmp_path)
+        (run / "checkpoints" / "init_axial.pbrw").unlink()
+        assert main(["train-primary", "--data", str(data), "--run", str(run),
+                     "--base-width", "2", "--epochs", "0", "--teacher-forced"]) == 0
+        manifest = json.loads((run / "manifest_train_primary.json").read_text())
+        assert list(manifest["checkpoints"]) == ["primary_d1"]
 
 
 class TestPhantomCommand:
@@ -786,6 +861,10 @@ class TestFullPipeline:
         primary = (run / "checkpoints" / "primary_d1.pbrw").read_bytes()
         assert infer_manifest["checkpoints"]["primary"] == hashlib.sha256(primary).hexdigest()
         assert infer_manifest["checkpoints"]["init_axial"] == hashlib.sha256(blob).hexdigest()
+        primary_manifest = json.loads((run / "manifest_train_primary.json").read_text())
+        assert primary_manifest["checkpoints"] == {
+            "init_axial": hashlib.sha256(blob).hexdigest(),
+            "primary_d1": hashlib.sha256(primary).hexdigest()}
 
     def test_eval_reports_exist(self, pipeline):
         _, run = pipeline

@@ -129,6 +129,20 @@ def test_cli_reads_a_pvol_only_through_its_checked_read():
     assert [func for func, _ in calls] == ["_read"]
 
 
+def test_one_rule_names_the_manifests():
+    """main names the manifest it writes, and _check_trained_views the one it
+    reads, through _manifest_path, the one place that spells the name."""
+    path = Path(pbrseg.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), str(path))
+    calls = _calls(tree, lambda call: isinstance(call.func, ast.Name)
+                   and call.func.id == "_manifest_path")
+    assert sorted(func for func, _ in calls) == ["_check_trained_views", "main"]
+    spelled = {f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+               for node in ast.walk(f)
+               if isinstance(node, ast.Constant) and "manifest_" in str(node.value)}
+    assert spelled == {"_manifest_path"}
+
+
 def test_the_guard_sees_each_kind_of_read():
     source = '''
 def a(p): return open(p).read()
