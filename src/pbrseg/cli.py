@@ -16,11 +16,11 @@ import scipy
 from . import __version__, parallel
 from .checkpoint import checkpoint_digest
 from .errors import ConfigError, DataError, NumericalError, read_input, write_output
-from .hybrid import SweepConfig, binarize, infer_pbr
-from .metrics import (SliceReport, VolumeReport, dsc_histogram, evaluate_slices,
-                      evaluate_volume, parse_dsc, read_columns, read_slice_csv,
-                      reliability_curve, small_target_report, summarize, volume_agreement,
-                      write_csv)
+from .hybrid import DEPTHS, SweepConfig, binarize, infer_pbr
+from .metrics import (AREA_THRESHOLD, HEAD_TAIL_N, SliceReport, VolumeReport, dsc_histogram,
+                      evaluate_slices, evaluate_volume, parse_dsc, parse_mm3, read_columns,
+                      read_slice_csv, reliability_curve, small_target_report, summarize,
+                      volume_agreement, write_csv)
 from .phantom import PhantomSpec, gen_phantom, volume_seed
 from .preprocess import crop_box, preprocess
 from .pvol import MaskVolume, Volume, read_pvol_file, write_pvol_file
@@ -250,16 +250,12 @@ def cmd_infer(args) -> dict:
 
 
 def _eval_set(masks, pred_dir: Path, prefix: str):
-    vol_reports, slice_reports, mm3 = [], [], {"ids": [], "pred": [], "gt": []}
+    vol_reports, slice_reports = [], []
     for vid, gt_path, _, gt in masks:
         pred = _read(pred_dir / f"{prefix}{vid}.pvol", MaskVolume, (gt, gt_path))
         vol_reports.append(evaluate_volume(pred, gt, volume_id=vid))
         slice_reports.extend(evaluate_slices(pred, gt, volume_id=vid))
-        sz, sy, sx = gt.spacing  # the pred's too: _read checked the grid
-        mm3["ids"].append(vid)
-        mm3["pred"].append(vol_reports[-1].pred_voxels * sz * sy * sx)
-        mm3["gt"].append(vol_reports[-1].gt_voxels * sz * sy * sx)
-    return vol_reports, slice_reports, mm3
+    return vol_reports, slice_reports
 
 
 def cmd_eval(args) -> None:
@@ -270,36 +266,26 @@ def cmd_eval(args) -> None:
               for prefix, tag in (("pred_", ""), ("pred_init_", "_init"))
               if not tag or any((pred_dir / f"{prefix}{vid}.pvol").exists() for vid, *_ in masks)]
     out = args.run / "reports"
-    for tag, (vols, slices, mm3) in scored:
+    for tag, (vols, slices) in scored:
         write_csv(vols, out / f"volumes{tag}.csv", VolumeReport)
         write_csv(slices, out / f"slices{tag}.csv", SliceReport)
         _write_json(out / f"summary{tag}.json", summarize(vols))
-        _write_json(out / f"volumes_mm3{tag}.json", mm3)
 
 
 def cmd_report(args) -> None:
     reports = args.run / "reports"
-    for name in ("volumes.csv", "slices.csv", "volumes_mm3.json"):
+    for name in ("volumes.csv", "slices.csv"):
         if not (reports / name).exists():
             raise DataError(f"missing {reports / name}: run eval first")
-    volume_dscs = read_columns(reports / "volumes.csv", {"dsc": parse_dsc})["dsc"]
+    volumes = read_columns(reports / "volumes.csv", {"volume_id": str, "dsc": parse_dsc,
+                                                     "pred_mm3": parse_mm3, "gt_mm3": parse_mm3},
+                           unique="volume {volume_id}")
     slice_reports = read_slice_csv(reports / "slices.csv")
-    mm3_path = reports / "volumes_mm3.json"
-    mm3 = read_input(mm3_path, json.loads)
-    pred_mm3, gt_mm3 = (mm3.get(key) if isinstance(mm3, dict) else None for key in ("pred", "gt"))
-    for key, values in (("pred", pred_mm3), ("gt", gt_mm3)):
-        # a bool is an int to Python; a NaN or inf would make agreement.json invalid JSON
-        for x in values if isinstance(values, list) else [values]:
-            if type(x) not in (int, float) or not abs(x) <= sys.float_info.max:
-                raise DataError(f"malformed {mm3_path}: {key!r} must be a list of finite "
-                                f"numbers, found {x!r}")
-    if len(pred_mm3) != len(gt_mm3):
-        raise DataError(f"{mm3_path}: {len(pred_mm3)} pred but {len(gt_mm3)} gt volumes")
 
     # every table is computed before the first is written, so a report that fails leaves none
     histogram = dsc_histogram([r for r in slice_reports if r.gt_pixels > 0])
-    curve = reliability_curve(volume_dscs)
-    agreement = volume_agreement(pred_mm3, gt_mm3)
+    curve = reliability_curve(volumes["dsc"])
+    agreement = volume_agreement(volumes["pred_mm3"], volumes["gt_mm3"])
     small = small_target_report(slice_reports, args.area_threshold, args.head_tail_n)
 
     _write_json(reports / "histogram.json", histogram)
@@ -358,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-primary", help="train the refinement net")
     training(p)
     p.add_argument("--views", type=_views_arg, default=("axial",))
-    p.add_argument("--depth", type=int, default=SweepConfig.depth, choices=(1, 2, 3))
+    p.add_argument("--depth", type=int, default=SweepConfig.depth, choices=DEPTHS)
     p.add_argument("--epochs", type=_ranged(int, 0), default=6)
     p.add_argument("--lr", type=_ranged(float, 0), default=5e-4)
     p.add_argument("--teacher-forced", action="store_true")
@@ -367,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", help="run refinement inference")
     common(p)
     p.add_argument("--views", type=_views_arg, default=("axial",))
-    p.add_argument("--depth", type=int, default=SweepConfig.depth, choices=(1, 2, 3))
+    p.add_argument("--depth", type=int, default=SweepConfig.depth, choices=DEPTHS)
     p.add_argument("--threshold", type=float, default=SweepConfig.threshold)
     p.add_argument("--sweeps", choices=("both", "forward"), default=SweepConfig.sweeps)
     p.set_defaults(func=cmd_infer)
@@ -380,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="histograms, reliability, agreement tables")
     p.add_argument("--run", type=Path, required=True)
-    p.add_argument("--area-threshold", type=_ranged(int, 0), default=300)
-    p.add_argument("--head-tail-n", type=_ranged(int, 1), default=3)
+    p.add_argument("--area-threshold", type=_ranged(int, 0), default=AREA_THRESHOLD)
+    p.add_argument("--head-tail-n", type=_ranged(int, 1), default=HEAD_TAIL_N)
     p.set_defaults(func=cmd_report)
     return parser
 

@@ -22,15 +22,17 @@ from .pvol import MaskVolume, ProbVolume, Volume
 from .unet import forward_padded
 from .views import estimate_initial
 
+DEPTHS = (1, 2, 3)  # the guidance depths d a primary net can be built and swept at
+
 
 @dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig:  # the one statement of what each setting accepts
     depth: int = 1
     threshold: float = 0.5
     sweeps: str = "both"  # "both" or "forward"
 
     def __post_init__(self):
-        if self.depth not in (1, 2, 3):
+        if self.depth not in DEPTHS:
             raise ConfigError(f"guidance depth must be 1, 2 or 3, got {self.depth}")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"threshold must be in (0, 1), got {self.threshold}")
@@ -72,8 +74,7 @@ class HybridStack:
 
 def build_hybrid(v: Volume, p: ProbVolume, depth: int) -> HybridStack:
     """Pair a preprocessed volume with its probability map."""
-    if depth < 1:
-        raise ConfigError(f"guidance depth must be >= 1, got {depth}")
+    SweepConfig(depth=depth)  # refuses a depth no sweep takes
     if v.dims != p.dims:
         raise ConfigError(f"volume/map dims differ: {v.dims} vs {p.dims}")
     return HybridStack(v.data.astype(np.float32), p.data.astype(np.float32),
@@ -112,10 +113,9 @@ def sweep(net, stack: HybridStack, direction: str) -> ProbVolume:
     return ProbVolume(stack.prob.copy(), stack.spacing)
 
 
-def binarize(p: ProbVolume, threshold: float = 0.5) -> MaskVolume:
+def binarize(p: ProbVolume, threshold: float = SweepConfig.threshold) -> MaskVolume:
     """Threshold a probability volume; ties go to background."""
-    if not 0.0 < threshold < 1.0:
-        raise ConfigError(f"threshold must be in (0, 1), got {threshold}")
+    SweepConfig(threshold=threshold)  # refuses a threshold outside (0, 1)
     return MaskVolume((p.data > threshold).astype(np.uint8), p.spacing)
 
 

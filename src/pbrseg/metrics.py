@@ -3,6 +3,7 @@ reliability curves, volume-agreement statistics, small-target cohorts."""
 
 import csv
 import io
+import string
 import warnings
 from dataclasses import dataclass, fields
 
@@ -13,6 +14,8 @@ from .errors import ConfigError, DataError, UndefinedMetricError, read_input, wr
 from .pvol import MaskVolume
 
 DSC_BUCKETS = (0.0, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+AREA_THRESHOLD = 300  # pixels: a slice with at most this reference area is a small target
+HEAD_TAIL_N = 3  # the first and last n foreground slices of each volume
 
 
 @dataclass
@@ -27,6 +30,8 @@ class VolumeReport:
     rmse: float
     pred_voxels: int
     gt_voxels: int
+    pred_mm3: float
+    gt_mm3: float
 
 
 @dataclass
@@ -160,7 +165,7 @@ def evaluate_volume(pred: MaskVolume, gt: MaskVolume, volume_id: str = "") -> Vo
     counts = _counts(pred, gt)
     return VolumeReport(volume_id, _dice(*counts), _iou(*counts), _recall(*counts),
                         _precision(*counts), hd_d, hd_s, _rmse(*counts, pred.data.size),
-                        *counts[1:])
+                        *counts[1:], *(n * float(np.prod(gt.spacing)) for n in counts[1:]))
 
 
 def evaluate_slices(pred: MaskVolume, gt: MaskVolume, volume_id: str = "") -> list:
@@ -238,8 +243,8 @@ def _cohort_stats(members) -> dict:
     }
 
 
-def small_target_report(slice_reports, area_threshold: int = 300,
-                        head_tail_n: int = 3) -> dict:
+def small_target_report(slice_reports, area_threshold: int = AREA_THRESHOLD,
+                        head_tail_n: int = HEAD_TAIL_N) -> dict:
     """Dice statistics over the hard cohorts: the first/last n foreground slices
     of each volume (the one head/tail rule), and slices whose reference area
     is at most area_threshold pixels. A slice with Dice 0 counts as failed."""
@@ -290,10 +295,11 @@ def parse_dsc(text: str) -> float:
     return float(text)
 
 
-def read_columns(path, parsers: dict) -> dict:
+def read_columns(path, parsers: dict, unique: str = "") -> dict:
     """The named columns of a CSV file, each value parsed by its column's
-    function. A missing header row, a missing column or a bad value is a
-    DataError that names the file (and the column)."""
+    function. A missing header row, a missing column, a bad value, or a row
+    repeating the key of an earlier one (the columns that the format string
+    ``unique`` names), is a DataError that names the file and the column or row."""
     def parse(data: bytes) -> dict:
         try:
             reader = csv.DictReader(io.StringIO(data.decode("utf-8"), newline=""))
@@ -308,26 +314,34 @@ def read_columns(path, parsers: dict) -> dict:
                 columns[name] = [parse_value(row[name]) for row in rows]
             except (KeyError, TypeError, ValueError) as e:
                 raise DataError(f"bad or missing {name} column: {e}") from None
+        key, seen = [name for _, name, _, _ in string.Formatter().parse(unique) if name], set()
+        for row in zip(*(columns[name] for name in key)):
+            if row in seen:
+                raise DataError(unique.format(**dict(zip(key, row))) + " is listed twice")
+            seen.add(row)
         return columns
     return read_input(path, parse)
 
 
-def _count(text: str) -> int:
-    """A slice index or pixel count read back from a table: an integer >= 0."""
-    if int(text) < 0:
-        raise ValueError(f"must be >= 0, got {text!r}")
-    return int(text)
+def _nonnegative(convert):
+    """A parser of table cells: convert(text), which must be finite and >= 0."""
+    def parse(text: str):
+        if not 0 <= convert(text) < float("inf"):  # nan fails this too
+            raise ValueError(f"must be a finite number >= 0, got {text!r}")
+        return convert(text)
+    return parse
+
+
+_count = _nonnegative(int)  # a slice index or a pixel count
+parse_mm3 = _nonnegative(float)  # a volume in mm³
 
 
 def read_slice_csv(path) -> list:
     """The SliceReports of a ``write_csv(..., SliceReport)`` table, each slice listed once."""
     columns = read_columns(path, {"volume_id": str, "slice_index": _count,
-                                  "dsc": parse_dsc, "gt_pixels": _count})
-    reports = {}
-    for r in map(SliceReport, *columns.values()):
-        if reports.setdefault((r.volume_id, r.slice_index), r) is not r:
-            raise DataError(f"{path}: slice {r.slice_index} of {r.volume_id} is listed twice")
-    return list(reports.values())
+                                  "dsc": parse_dsc, "gt_pixels": _count},
+                           unique="slice {slice_index} of {volume_id}")
+    return list(map(SliceReport, *columns.values()))
 
 
 def summarize(volume_reports) -> dict:

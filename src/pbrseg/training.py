@@ -8,7 +8,7 @@ import numpy as np
 
 from . import ops, parallel
 from .errors import ConfigError, DataError, NumericalError
-from .hybrid import build_hybrid
+from .hybrid import SweepConfig, build_hybrid
 from .metrics import array_dsc
 from .optim import init_optimizer, optimizer_step
 from .preprocess import augment
@@ -129,7 +129,7 @@ def _view_samples(dataset, view: str):
 
 
 def train_initial(dataset, view: str, schedule: TrainSchedule, seed: int,
-                  base_width: int = 8):
+                  base_width: int = UNetConfig.base_width):
     """Train one single-channel view net on preprocessed (volume, mask)
     pairs; returns (net, epoch logs)."""
     if not dataset:
@@ -142,8 +142,8 @@ def train_initial(dataset, view: str, schedule: TrainSchedule, seed: int,
     return net, logs
 
 
-def train_primary(dataset, init_nets: dict, depth: int, schedule: TrainSchedule,
-                  seed: int, teacher_forced: bool = False, base_width: int = 8):
+def train_primary(dataset, init_nets: dict, depth: int, schedule: TrainSchedule, seed: int,
+                  teacher_forced: bool = False, base_width: int = UNetConfig.base_width):
     """Train the (2d+1)-channel refinement net; returns (net, epoch logs).
 
     Hybrid samples are built once from the fused initial maps and never
@@ -151,8 +151,7 @@ def train_primary(dataset, init_nets: dict, depth: int, schedule: TrainSchedule,
     inference. With `teacher_forced` the neighbor channels carry ground
     truth instead of estimated maps (ablation mode).
     """
-    if not dataset:
-        raise DataError("empty dataset")
+    SweepConfig(depth=depth)  # refuses a depth no sweep takes, before any map is estimated
     samples, targets = [], []
     for v, m in dataset:
         if teacher_forced:

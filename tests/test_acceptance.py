@@ -414,9 +414,10 @@ def test_reporting_fidelity(desk_run):
         prev = frac
 
     # the persisted voxel volumes match the masks they were derived from
-    mm3 = json.loads((reports / "volumes_mm3.json").read_text())
-    ok &= mm3["ids"] == [f"phantom_{i:03d}" for i in range(16, 20)]
-    for vid, pv, gv in zip(mm3["ids"], mm3["pred"], mm3["gt"]):
+    vol_rows = _csv_rows(reports / "volumes.csv")
+    mm3 = {key: [float(r[f"{key}_mm3"]) for r in vol_rows] for key in ("pred", "gt")}
+    ok &= [r["volume_id"] for r in vol_rows] == [f"phantom_{i:03d}" for i in range(16, 20)]
+    for vid, pv, gv in zip([r["volume_id"] for r in vol_rows], mm3["pred"], mm3["gt"]):
         pred = read_pvol_file(desk_run.run / "volumes" / f"pred_{vid}.pvol")
         gt = read_pvol_file(desk_run.data / f"{vid}_mask.pvol")
         ok &= abs(pv - int(pred.data.sum()) * float(np.prod(pred.spacing))) < 1e-6 * max(pv, 1.0)

@@ -4,6 +4,7 @@ an end-to-end pipeline smoke on tiny phantoms."""
 import argparse
 import csv
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -20,11 +21,13 @@ import pytest
 
 from pbrseg import cli, parallel
 from pbrseg.cli import _ids, main
+from pbrseg.hybrid import SweepConfig, binarize
 from pbrseg.metrics import (SliceReport, VolumeReport, dsc_histogram, evaluate_slices,
                             reliability_curve, small_target_report, volume_agreement)
 from pbrseg.phantom import PhantomSpec, gen_dataset, gen_phantom
 from pbrseg.preprocess import crop_box
 from pbrseg.pvol import MaskVolume, Volume, read_pvol_file, write_pvol_file
+from pbrseg.training import train_initial, train_primary
 from pbrseg.unet import UNetConfig, build_unet
 
 
@@ -74,17 +77,23 @@ def _as_file(path):
     path.touch()
 
 
-def _drop_last_gt(path):
-    """Cut the last reference volume from a volumes_mm3.json."""
-    mm3 = json.loads(path.read_text())
-    path.write_text(json.dumps({**mm3, "gt": mm3["gt"][:-1]}))
-
-
-def _set_pred_mm3(pred):
-    """A corruption that sets the predicted volumes of a volumes_mm3.json."""
-    def corrupt(path):
-        path.write_text(json.dumps({**json.loads(path.read_text()), "pred": pred}))
+def _set_volume_cells(column, value, rows=slice(0, 1)):
+    """A volumes.csv corruption that sets a column's cells in the data rows
+    that rows selects (the first by default)."""
+    def corrupt(text):
+        table = list(csv.reader(io.StringIO(text)))
+        k = table[0].index(column)
+        for row in table[1:][rows]:
+            row[k] = value
+        out = io.StringIO()
+        csv.writer(out).writerows(table)
+        return out.getvalue()
     return corrupt
+
+
+def _rewrite(corrupt):
+    """A file corruption made from a corruption of its text."""
+    return lambda path: path.write_text(corrupt(path.read_text()))
 
 
 def _on_first_foreground_row(edit):
@@ -118,11 +127,11 @@ def _append_column(path, name, value):
 
 
 def _eval_tables(fabricated_run, tmp_path):
-    """A run holding only the three tables that report reads, copied from
+    """A run holding only the two tables that report reads, copied from
     the fabricated run."""
     run = tmp_path / "run"
     (run / "reports").mkdir(parents=True)
-    for name in ("volumes.csv", "slices.csv", "volumes_mm3.json"):
+    for name in ("volumes.csv", "slices.csv"):
         shutil.copy(fabricated_run[1] / "reports" / name, run / "reports")
     return run
 
@@ -230,8 +239,8 @@ class TestExitCodes:
             assert main([*where, "--ids", "2"]) == 2, argv
             assert "mask phantom_002_mask.pvol has no matching volume file" in \
                 capsys.readouterr().err
-        ids = json.loads((run / "reports" / "volumes_mm3.json").read_text())["ids"]
-        assert ids == ["phantom_000", "phantom_001"]
+        with open(run / "reports" / "volumes.csv", newline="") as f:
+            assert [r["volume_id"] for r in csv.DictReader(f)] == ["phantom_000", "phantom_001"]
 
     def test_inverted_id_range(self, tmp_path, capsys):
         with pytest.raises(argparse.ArgumentTypeError):
@@ -301,12 +310,11 @@ class TestExitCodes:
         assert "volumes.csv: run eval first" in capsys.readouterr().err
         assert list(run.iterdir()) == []
         (run / "reports").mkdir()
-        for name in ("volumes.csv", "slices.csv", "volumes_mm3.json"):
+        for name in ("volumes.csv", "slices.csv"):
             assert main(["report", "--run", str(run)]) == 2
             assert f"{name}: run eval first" in capsys.readouterr().err
             (run / "reports" / name).write_text("")
-        assert sorted(p.name for p in run.rglob("*")) == [
-            "reports", "slices.csv", "volumes.csv", "volumes_mm3.json"]
+        assert sorted(p.name for p in run.rglob("*")) == ["reports", "slices.csv", "volumes.csv"]
 
     @pytest.mark.parametrize("name, corrupt, named", [
         ("slices.csv", lambda text: "".join(line.rsplit(",", 1)[0] + "\n"
@@ -317,16 +325,27 @@ class TestExitCodes:
         ("slices.csv", _set_foreground_cell(1, "-1"), ("slices.csv", "slice_index", "'-1'")),
         ("slices.csv", _on_first_foreground_row(lambda lines, k: lines.insert(k, lines[k])),
          ("slices.csv", "of phantom_000 is listed twice")),
-        ("volumes_mm3.json", lambda text: "{", ("volumes_mm3.json",)),
-        ("volumes_mm3.json", lambda text: text.replace('"pred": [', '"pred": ["x", '),
-         ("volumes_mm3.json", "'x'")),
+        ("volumes.csv", _set_volume_cells("pred_mm3", "x"), ("volumes.csv", "pred_mm3", "'x'")),
+        ("volumes.csv", _set_volume_cells("pred_mm3", "nan"),
+         ("volumes.csv", "pred_mm3", "'nan'")),
+        ("volumes.csv", _set_volume_cells("pred_mm3", "inf"),
+         ("volumes.csv", "pred_mm3", "'inf'")),
+        ("volumes.csv", _set_volume_cells("pred_mm3", "-8.000000"),
+         ("volumes.csv", "pred_mm3", "'-8.000000'")),
+        ("volumes.csv", lambda text: text + text.splitlines()[1] + "\n",
+         ("volumes.csv", "volume phantom_000 is listed twice")),
+        ("volumes.csv", lambda text: "".join(line.rsplit(",", 2)[0] + "\n"
+                                             for line in text.splitlines()),
+         ("volumes.csv", "bad or missing pred_mm3 column")),  # a run evaluated before the mm³
         ("volumes.csv", lambda text: text.replace("phantom_000,1.000000,", "phantom_000,abc,"),
          ("volumes.csv", "dsc", "abc")),
         ("volumes.csv", lambda text: text.replace("phantom_000,1.000000,", "phantom_000,7.5,"),
          ("volumes.csv", "dsc", "7.5"))],
         ids=("slices.csv", "slices.csv-nan-dsc", "slices.csv-negative-gt-pixels",
-             "slices.csv-negative-slice-index", "slices.csv-repeated-slice", "volumes_mm3.json",
-             "volumes_mm3.json-values", "volumes.csv", "volumes.csv-dsc-above-one"))
+             "slices.csv-negative-slice-index", "slices.csv-repeated-slice",
+             "volumes.csv-mm3-string", "volumes.csv-mm3-nan", "volumes.csv-mm3-inf",
+             "volumes.csv-mm3-negative", "volumes.csv-repeated-volume",
+             "volumes.csv-without-mm3", "volumes.csv", "volumes.csv-dsc-above-one"))
     def test_malformed_eval_table(self, tmp_path, capsys, fabricated_run, name, corrupt,
                                   named):
         run = _eval_tables(fabricated_run, tmp_path)
@@ -337,21 +356,17 @@ class TestExitCodes:
         assert main(["report", "--run", str(run)]) == 2
         err = capsys.readouterr().err
         assert all(word in err for word in named), err
-        assert sorted(p.name for p in run.rglob("*")) == [
-            "reports", "slices.csv", "volumes.csv", "volumes_mm3.json"]
+        assert sorted(p.name for p in run.rglob("*")) == ["reports", "slices.csv", "volumes.csv"]
 
     def test_report_that_fails_writes_nothing(self, tmp_path, capsys, fabricated_run):
         """Every table is computed before any is written: constant predicted
         volumes fail the agreement table, and no report file appears."""
         run = _eval_tables(fabricated_run, tmp_path)
-        mm3_path = run / "reports" / "volumes_mm3.json"
-        mm3 = json.loads(mm3_path.read_text())
-        mm3["pred"] = [0.0] * len(mm3["pred"])
-        mm3_path.write_text(json.dumps(mm3))
+        _rewrite(_set_volume_cells("pred_mm3", "0.000000", slice(None)))(
+            run / "reports" / "volumes.csv")
         assert main(["report", "--run", str(run)]) == 2
         assert "predicted volumes are constant" in capsys.readouterr().err
-        assert sorted(p.name for p in run.rglob("*")) == [
-            "reports", "slices.csv", "volumes.csv", "volumes_mm3.json"]
+        assert sorted(p.name for p in run.rglob("*")) == ["reports", "slices.csv", "volumes.csv"]
 
     @pytest.mark.parametrize("target, block, command", [
         ("phantoms", Path.touch, "phantom"),
@@ -437,16 +452,18 @@ class TestExitCodes:
         ("run/checkpoints/primary_d1.pbrw", lambda path: _patch(path, 8, bytes(4)),
          "infer", ("primary_d1.pbrw",)),  # in_channels 0
         ("run/checkpoints/init_axial.pbrw", _truncate, "train-primary", ("init_axial.pbrw",)),
-        ("run/reports/volumes_mm3.json", _as_directory, "report", ("volumes_mm3.json",)),
+        ("run/reports/volumes.csv", _as_directory, "report", ("volumes.csv",)),
         ("run/reports/slices.csv", _as_directory, "report", ("slices.csv",)),
-        ("run/reports/volumes_mm3.json", _drop_last_gt, "report", ("volumes_mm3.json",)),
-        ("run/reports/volumes_mm3.json", _set_pred_mm3("123"), "report", ("volumes_mm3.json",)),
-        ("run/reports/volumes_mm3.json", _set_pred_mm3([True, False, True]), "report",
-         ("volumes_mm3.json",)),
-        ("run/reports/volumes_mm3.json", _set_pred_mm3([1.0, float("nan"), 2.0]), "report",
-         ("volumes_mm3.json",)),
-        ("run/reports/volumes_mm3.json", _set_pred_mm3([1.0, 10 ** 400, 2.0]), "report",
-         ("volumes_mm3.json",)),  # past the float range
+        ("run/reports/volumes.csv", _rewrite(_set_volume_cells("gt_mm3", "", slice(-1, None))),
+         "report", ("volumes.csv", "gt_mm3")),  # the last reference volume cut
+        ("run/reports/volumes.csv", _rewrite(_set_volume_cells("gt_mm3", "123 mm3")), "report",
+         ("volumes.csv", "gt_mm3", "'123 mm3'")),
+        ("run/reports/volumes.csv", _rewrite(_set_volume_cells("gt_mm3", "True")), "report",
+         ("volumes.csv", "gt_mm3", "'True'")),
+        ("run/reports/volumes.csv", _rewrite(_set_volume_cells("gt_mm3", "NaN")), "report",
+         ("volumes.csv", "gt_mm3", "'NaN'")),
+        ("run/reports/volumes.csv", _rewrite(_set_volume_cells("gt_mm3", "1" + "0" * 400)),
+         "report", ("volumes.csv", "gt_mm3")),  # past the float range
         ("data/phantom_000_mask.pvol", _as_intensities, "train-init",
          ("phantom_000_mask.pvol", "does not hold a binary mask")),
         ("data/phantom_000.pvol",
@@ -605,6 +622,22 @@ def test_infer_any_in_plane_size(tmp_path):
     assert main(["infer", "--data", str(data), "--run", str(run)]) == 0
     for stem in ("pred", "prob", "pred_init", "prob_init"):
         assert read_pvol_file(run / "volumes" / f"{stem}_phantom_000.pvol").dims == (22, 50, 60)
+
+
+def test_flags_and_library_calls_share_their_defaults():
+    """A flag and the keyword it feeds default to the same value."""
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    parser = cli.build_parser()
+    report = parser.parse_args(["report", "--run", "r"])
+    assert report.area_threshold == default(small_target_report, "area_threshold") == 300
+    assert report.head_tail_n == default(small_target_report, "head_tail_n") == 3
+    infer = parser.parse_args(["infer", "--data", "d", "--run", "r"])
+    assert infer.threshold == default(binarize, "threshold") == SweepConfig.threshold == 0.5
+    for command, fn in (("train-init", train_initial), ("train-primary", train_primary)):
+        args = parser.parse_args([command, "--data", "d", "--run", "r"])
+        assert args.base_width == default(fn, "base_width") == UNetConfig.base_width == 8
 
 
 @pytest.fixture(scope="module")
@@ -868,10 +901,10 @@ class TestFullPipeline:
 
     def test_eval_reports_exist(self, pipeline):
         _, run = pipeline
-        for name in ("volumes.csv", "slices.csv", "summary.json", "volumes_mm3.json",
-                     "volumes_init.csv", "histogram.json", "reliability.csv",
-                     "agreement.json", "small_targets.json"):
+        for name in ("volumes.csv", "slices.csv", "summary.json", "volumes_init.csv",
+                     "histogram.json", "reliability.csv", "agreement.json", "small_targets.json"):
             assert (run / "reports" / name).exists(), name
+        assert list((run / "reports").glob("volumes_mm3*")) == []  # volumes.csv holds the mm³
 
     def test_volumes_on_pool_threads_bit_identical(self, pipeline, tmp_path, monkeypatch):
         if parallel._openblas() is None:

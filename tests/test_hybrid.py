@@ -117,8 +117,9 @@ class TestSampleChannels:
         p = ProbVolume(np.zeros((3, 4, 5), dtype=np.float32))
         with pytest.raises(ConfigError):
             build_hybrid(v, p, 1)
-        with pytest.raises(ConfigError):
-            build_hybrid(v, ProbVolume(np.zeros((3, 4, 4), dtype=np.float32)), 0)
+        for depth in (0, 4):  # the depths SweepConfig refuses
+            with pytest.raises(ConfigError, match="guidance depth must be 1, 2 or 3"):
+                build_hybrid(v, ProbVolume(np.zeros((3, 4, 4), dtype=np.float32)), depth)
 
     def test_build_copies_prob(self):
         p = ProbVolume(np.zeros((3, 4, 4), dtype=np.float32))

@@ -2,7 +2,6 @@
 reporting helpers."""
 
 import csv
-import json
 import warnings
 
 import numpy as np
@@ -269,8 +268,8 @@ class TestRmseAndVolume:
                 assert rmse(x, y) == float(np.sqrt(np.mean(diff * diff)))
 
     def test_eval_volumes_mm3_are_counts_times_spacing(self, rng, tmp_path):
-        """eval's volumes_mm3.json holds each mask's voxel count times its
-        voxel volume, on a spacing of three different values."""
+        """eval's volumes.csv holds each mask's voxel count times its voxel
+        volume, on a spacing of three different values."""
         data, run = tmp_path / "data", tmp_path / "run"
         gts, preds = {}, {}
         for vid in ("vol_0", "vol_1"):
@@ -280,12 +279,13 @@ class TestRmseAndVolume:
             write_pvol_file(data / f"{vid}_mask.pvol", gts[vid])
             write_pvol_file(run / "volumes" / f"pred_{vid}.pvol", preds[vid])
         assert main(["eval", "--data", str(data), "--run", str(run)]) == 0
-        got = json.loads((run / "reports" / "volumes_mm3.json").read_text())
-        assert got["ids"] == ["vol_0", "vol_1"]
+        with open(run / "reports" / "volumes.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [r["volume_id"] for r in rows] == ["vol_0", "vol_1"]
         sz, sy, sx = read_pvol_file(data / "vol_0_mask.pvol").spacing  # as float32 stores it
         for key, masks in (("gt", gts), ("pred", preds)):
-            assert got[key] == [int(np.count_nonzero(m.data)) * sz * sy * sx
-                                for m in masks.values()]
+            assert [r[f"{key}_mm3"] for r in rows] == [
+                f"{int(np.count_nonzero(m.data)) * sz * sy * sx:.6f}" for m in masks.values()]
 
 
 class TestVolumeReport:
@@ -296,6 +296,7 @@ class TestVolumeReport:
         assert r.volume_id == "v0"
         assert r.dsc == 2 / 3
         assert r.pred_voxels == 2 and r.gt_voxels == 1
+        assert r.pred_mm3 == 2.0 and r.gt_mm3 == 1.0
         assert r.hd_symmetric == 1.0
 
     def test_hd_none_on_empty(self):
@@ -352,13 +353,16 @@ def _recount(pred, gt, volume_id):
 
     inter, npred, ngt, differ = counts(pred.data, gt.data)
     union = npred + ngt - inter
+    sz, sy, sx = gt.spacing
+    voxel_mm3 = sz * sy * sx
     hd = ((None, None) if not npred or not ngt
           else _tree_hausdorff(pred, gt, "both"))
     volume = VolumeReport(
         volume_id, dice(inter, npred, ngt), 1.0 if union == 0 else inter / union,
         (1.0 if npred == 0 else 0.0) if ngt == 0 else inter / ngt,
         (1.0 if ngt == 0 else 0.0) if npred == 0 else inter / npred,
-        *hd, float(np.sqrt(differ / pred.data.size)), npred, ngt)
+        *hd, float(np.sqrt(differ / pred.data.size)), npred, ngt,
+        npred * voxel_mm3, ngt * voxel_mm3)
     slices = [SliceReport(volume_id, t, dice(*c[:3]), c[2])
               for t, c in enumerate(counts(p, g) for p, g in zip(pred.data, gt.data))]
     return volume, slices

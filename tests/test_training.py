@@ -231,6 +231,23 @@ def test_train_primary_teacher_forced_smoke(tiny_dataset):
     assert len(logs) == 1
 
 
+@pytest.mark.parametrize("depth", [0, 4])
+def test_train_primary_refuses_a_depth_no_sweep_takes(tiny_dataset, monkeypatch, depth):
+    """train_primary builds only the nets a sweep can run (SweepConfig refuses
+    depth 4, a 9-channel net), and refuses any other depth before a map is
+    estimated or a net trained."""
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the depth was checked")
+
+    monkeypatch.setattr(training, "estimate_initial", never)
+    monkeypatch.setattr(training, "fit", never)
+    sched = TrainSchedule((Phase("adam", 1e-3, 1),), val_fraction=0.0)
+    for teacher_forced in (False, True):
+        with pytest.raises(ConfigError, match=f"guidance depth must be 1, 2 or 3, got {depth}"):
+            train_primary(tiny_dataset, {"axial": None}, depth, sched, seed=0,
+                          teacher_forced=teacher_forced, base_width=4)
+
+
 def test_train_primary_uses_init_nets(tiny_dataset):
     sched = TrainSchedule((Phase("adam", 1e-3, 1),), val_fraction=0.0)
     init = build_unet(UNetConfig(1, base_width=4), seed=1)
